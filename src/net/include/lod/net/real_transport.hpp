@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -13,6 +11,7 @@
 #include <vector>
 
 #include "lod/net/result.hpp"
+#include "lod/net/timing_wheel.hpp"
 #include "lod/net/transport_base.hpp"
 #include "lod/obs/hub.hpp"
 #include "lod/obs/rollup.hpp"
@@ -31,8 +30,9 @@
 ///    transport's registry) and the "LODR" length-prefixed RPC framing
 ///    (decoded frames funnel through `RpcServer::handle`, so one route
 ///    table answers the UDP and the TCP control planes),
-///  - timers ride the epoll wait deadline, driven by a monotonic
-///    microsecond clock shared by every instance in the process.
+///  - timers run on the simulator's EventQueue (timing_wheel.hpp), due by a
+///    monotonic microsecond clock shared by every instance in the process;
+///    the loop sleeps in epoll_wait until the next one is due.
 ///
 /// Addressing: `HostId h` maps to the loopback IPv4 address `base_ip + h`.
 /// Linux routes all of 127.0.0.0/8 locally, so every host gets its own real
@@ -42,10 +42,12 @@
 /// loop thread) agree on the mapping automatically and talk to each other
 /// through the kernel exactly as separate processes would.
 ///
-/// Threading contract: everything except `stop()`, `schedule_at`/`cancel`
-/// and the blocking helpers below is confined to the loop thread — the
-/// thread that calls `run()` — or to the single owning thread before `run()`
-/// starts. Receiver and timer callbacks fire on the loop thread.
+/// Threading contract: everything except `stop()` and the blocking helpers
+/// below is confined to the loop thread — the thread that calls `run()` — or
+/// to the single owning thread while the loop is not running. Receiver and
+/// timer callbacks fire on the loop thread. Timers are checked: a
+/// `schedule_at`/`cancel` from another thread while the loop runs throws
+/// `std::logic_error` instead of racing.
 ///
 /// UDP datagrams carry a small frame header (magic, src host/port, channel,
 /// payload length) so the receiver can rebuild the seam's `Datagram` —
@@ -164,20 +166,14 @@ class RealTransport : public Transport {
     std::vector<std::byte> buf;
     enum class Mode { kSniff, kRpc, kHttp } mode{Mode::kSniff};
   };
-  struct TimerEntry {
-    SimTime at;
-    EventId id;
-    bool operator>(const TimerEntry& o) const {
-      return at.us != o.at.us ? at.us > o.at.us : id > o.id;
-    }
-  };
 
   static std::uint64_t port_key(HostId h, Port p) {
     return (static_cast<std::uint64_t>(h) << 16) | p;
   }
 
   std::uint32_t ip_of(HostId h) const { return base_ip_ + h; }
-  void wakeup();
+  /// Throws std::logic_error unless called where timers may be touched.
+  void check_timer_thread() const;
   void fire_due_timers();
   /// Epoll-wait timeout until the next timer, in milliseconds (-1 = none).
   int next_timeout_ms();
@@ -201,8 +197,8 @@ class RealTransport : public Transport {
   int wake_fd_{-1};
   int tx_fd_{-1};  ///< shared send socket; src rides in the frame header
   std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
-  std::thread::id loop_thread_;
+  /// The thread inside `run()`; default (no thread) while the loop is idle.
+  std::atomic<std::thread::id> loop_thread_{};
 
   std::unordered_map<HostId, HostState> hosts_;
   HostId next_host_{0};
@@ -212,10 +208,7 @@ class RealTransport : public Transport {
   std::unordered_map<int, TcpListener> listeners_;
   std::unordered_map<int, TcpConn> conns_;
 
-  mutable std::mutex timer_mu_;
-  std::vector<TimerEntry> timer_heap_;  ///< min-heap via std::push/pop_heap
-  std::unordered_map<EventId, TimerFn> timer_fns_;
-  EventId next_event_{1};
+  EventQueue timers_;
   std::uint64_t next_datagram_{1};
   std::vector<std::byte> rx_buf_;  ///< loop-thread recv staging
 

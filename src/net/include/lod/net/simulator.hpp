@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "lod/net/time.hpp"
 #include "lod/net/timing_wheel.hpp"
@@ -14,17 +12,11 @@
 /// Every other substrate (network links, streaming servers, Petri net playout)
 /// schedules work here. Events fire in strict (time, insertion-order) order,
 /// which makes whole-system runs deterministic and therefore testable. The
-/// event queue is a hierarchical timing wheel (see timing_wheel.hpp): O(1)
-/// schedule and near-O(1) pop versus the O(log n) binary heap it replaced,
-/// with identical (time, seq) firing order.
+/// event queue is `EventQueue` (timing_wheel.hpp), the same queue
+/// RealTransport runs its timers on; the simulator adds the virtual clock,
+/// the lod.sim.* counters and the flight records.
 
 namespace lod::net {
-
-/// Identifies a scheduled event so it can be cancelled before it fires.
-/// Opaque to callers; internally (slot << 32) | generation into the handler
-/// slab, so cancel() is O(1) with no hashing. Never zero, and a default-
-/// constructed (zero) or stale id is always rejected harmlessly.
-using EventId = std::uint64_t;
 
 /// A single-threaded discrete-event simulator.
 ///
@@ -33,7 +25,7 @@ using EventId = std::uint64_t;
 /// events run after the current handler returns, in insertion order).
 class Simulator {
  public:
-  using Handler = std::function<void()>;
+  using Handler = EventQueue::Handler;
 
   Simulator();
   Simulator(const Simulator&) = delete;
@@ -75,44 +67,19 @@ class Simulator {
   std::size_t run_steps(std::size_t n);
 
   /// Number of events currently pending (cancelled events excluded).
-  std::size_t pending() const { return live_; }
+  std::size_t pending() const { return queue_.pending(); }
 
  private:
-  /// One slab cell per in-flight handler. Wheel items stay trivially
-  /// copyable (they are re-placed on every cascade); the handler is moved
-  /// exactly twice — into its cell at schedule, out at fire. The generation
-  /// counter makes stale ids (fired or cancelled, slot since reused) miss:
-  /// an id only resolves while its generation matches the cell's.
-  struct Cell {
-    Handler h;
-    std::uint32_t gen{1};
-    bool live{false};
-  };
-
-  static std::uint32_t id_slot(EventId id) {
-    return static_cast<std::uint32_t>(id >> 32);
-  }
-  static std::uint32_t id_gen(EventId id) {
-    return static_cast<std::uint32_t>(id);
-  }
-
-  /// Retire a cell: drop the handler, bump the generation so the id (and
-  /// its lazily-remaining wheel item) goes stale, recycle the slot.
-  void free_cell(std::uint32_t slot);
-
-  /// Pop the next live (non-cancelled) item; sweeps cancelled ones lazily.
-  bool pop_next(TimingWheel::Item& out);
+  /// Fire the earliest live event due by \p limit: advance the clock, count,
+  /// record, call. False when nothing is due.
+  bool fire_next(std::int64_t limit);
 
   SimTime now_{};
   obs::Hub obs_;
   obs::Counter events_scheduled_;
   obs::Counter events_fired_;
   obs::Counter events_cancelled_;
-  std::uint64_t next_seq_{0};
-  TimingWheel wheel_;
-  std::vector<Cell> cells_;
-  std::vector<std::uint32_t> free_;  ///< recycled slots, LIFO
-  std::size_t live_{0};
+  EventQueue queue_;
 };
 
 }  // namespace lod::net

@@ -5,12 +5,13 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <functional>
 #include <utility>
 #include <vector>
 
 /// \file timing_wheel.hpp
-/// Hierarchical timing wheel — the simulator's event queue.
+/// Hierarchical timing wheel plus handler slab (`EventQueue`, at the end):
+/// the one timer queue both transport backends run on.
 ///
 /// Four levels of 256 slots each, with slot widths of 2^0, 2^8, 2^16 and
 /// 2^24 microseconds, cover events up to 2^32 us (~71.6 minutes) ahead of
@@ -45,7 +46,7 @@ class TimingWheel {
   /// Deliberately trivially copyable: items are re-placed on every cascade,
   /// so any non-trivial payload (e.g. a std::function handler) would pay an
   /// indirect manager call per move. Callers keep payloads in a side table
-  /// keyed by `id` (the Simulator uses a slot/generation slab).
+  /// keyed by `id` (EventQueue below uses a slot/generation slab).
   struct Item {
     std::int64_t at{0};    ///< absolute microseconds
     std::uint64_t seq{0};  ///< schedule order; ties on `at` break by seq
@@ -58,26 +59,15 @@ class TimingWheel {
   static constexpr std::int64_t kHorizon = std::int64_t{1}
                                            << (kLevels * kSlotBits);  // 2^32 us
 
-  /// Cursor: the wheel's notion of "now". Monotonically non-decreasing.
-  std::int64_t now() const { return cur_; }
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  /// Insert an item. Times in the past clamp to the cursor.
+  /// Insert an item. Times in the past clamp to the cursor (the wheel's
+  /// "now", which never decreases).
   void schedule(Item it) {
     if (it.at < cur_) it.at = cur_;
-    ++size_;
     place(std::move(it));
   }
 
-  /// Pop the earliest item in (at, seq) order, advancing the cursor to its
-  /// time. Returns false when the wheel is empty.
-  bool pop(Item& out) {
-    return pop_due(std::numeric_limits<std::int64_t>::max(), out);
-  }
-
-  /// Pop the earliest item if its time is <= \p limit; otherwise false,
+  /// Pop the earliest item in (at, seq) order if its time is <= \p limit,
+  /// advancing the cursor to that time; otherwise false,
   /// with the cursor advanced no further than \p limit. This is run_until's
   /// workhorse: deciding "is anything due?" costs bitmap scans only, never
   /// a walk over bucket contents.
@@ -96,7 +86,6 @@ class TimingWheel {
       ready_.clear();
       ready_head_ = 0;
     }
-    --size_;
     return true;
   }
 
@@ -104,6 +93,42 @@ class TimingWheel {
   /// pending item is earlier than \p t (run_until drains them first).
   void fast_forward(std::int64_t t) {
     if (t > cur_) advance_to(t);
+  }
+
+  /// Refine the earliest pending time using bitmap information only. Level-0
+  /// items share all bits >= 8 with the cursor, so their slot index IS their
+  /// exact time within the cursor's 256-us window; upper-level slots expose
+  /// their cascade boundary (slot start), a strict lower bound on their
+  /// items. While the earliest thing pending is only known as an upper-level
+  /// bound, advance the cursor to that boundary (cascading the slot down a
+  /// level) and retry — each round trickles the front of the wheel one level
+  /// lower until the minimum surfaces at level 0, exact. Never walks bucket
+  /// contents, unlike a "scan the first non-empty bucket for its min" peek,
+  /// which is O(bucket) per call and quadratic over a run.
+  ///
+  /// Returns the exact earliest time when it is <= \p limit; a value > limit
+  /// (possibly just a bound) once it is known nothing is due by \p limit;
+  /// -1 when empty. The cursor never advances past min(earliest, limit).
+  std::int64_t advance_toward_next(std::int64_t limit) {
+    if (ready_head_ < ready_.size()) return cur_;
+    for (;;) {
+      std::int64_t best = -1;  // exact, from level 0
+      const int s0 = bit_find_from(bits_[0], cursor_slot(0));
+      if (s0 >= 0) best = (cur_ & ~std::int64_t{kSlots - 1}) + s0;
+      const std::int64_t bound = next_boundary();  // lower bound
+      // A level-0 time can never equal an upper-level slot start (equal
+      // times share identical bits, hence the same level), so `best < bound`
+      // means best is the global minimum.
+      if (best >= 0 && (bound < 0 || best < bound)) return best;
+      if (bound < 0) return -1;
+      if (bound > limit) return bound;
+      cross_boundary(bound);
+      // Items due exactly AT a boundary cascade straight into ready_ (place
+      // routes at == cur_ there). The cursor only ever moves through lower
+      // bounds, so anything in ready_ now IS the minimum — stop refining, or
+      // the loop would advance past it and strand it.
+      if (ready_head_ < ready_.size()) return cur_;
+    }
   }
 
  private:
@@ -159,64 +184,10 @@ class TimingWheel {
     bucket.push_back(std::move(it));
   }
 
-  /// Refine the earliest pending time using bitmap information only. Level-0
-  /// items share all bits >= 8 with the cursor, so their slot index IS their
-  /// exact time within the cursor's 256-us window; upper-level slots expose
-  /// their cascade boundary (slot start), a strict lower bound on their
-  /// items. While the earliest thing pending is only known as an upper-level
-  /// bound, advance the cursor to that boundary (cascading the slot down a
-  /// level) and retry — each round trickles the front of the wheel one level
-  /// lower until the minimum surfaces at level 0, exact. Never walks bucket
-  /// contents, unlike a "scan the first non-empty bucket for its min" peek,
-  /// which is O(bucket) per call and quadratic over a run.
-  ///
-  /// Returns the exact earliest time when it is <= \p limit; a value > limit
-  /// (possibly just a bound) once it is known nothing is due by \p limit;
-  /// -1 when empty. The cursor never advances past min(earliest, limit).
-  std::int64_t advance_toward_next(std::int64_t limit) {
-    if (ready_head_ < ready_.size()) return cur_;
-    for (;;) {
-      std::int64_t best = -1;  // exact, from level 0
-      const int s0 = bit_find_from(bits_[0], cursor_slot(0));
-      if (s0 >= 0) best = (cur_ & ~std::int64_t{kSlots - 1}) + s0;
-      std::int64_t bound = -1;  // lower bound, from upper levels + far heap
-      for (int level = 1; level < kLevels; ++level) {
-        const int i = bit_find_from(bits_[static_cast<std::size_t>(level)],
-                                    cursor_slot(level) + 1);
-        if (i < 0) continue;
-        const std::int64_t b =
-            ((cur_ >> (kSlotBits * level)) + (i - cursor_slot(level)))
-            << (kSlotBits * level);
-        if (bound < 0 || b < bound) bound = b;
-      }
-      if (!far_.empty()) {
-        const std::int64_t refill = ((cur_ >> (kLevels * kSlotBits)) + 1)
-                                    << (kLevels * kSlotBits);
-        if (bound < 0 || refill < bound) bound = refill;
-      }
-      // A level-0 time can never equal an upper-level slot start (equal
-      // times share identical bits, hence the same level), so `best < bound`
-      // means best is the global minimum.
-      if (best >= 0 && (bound < 0 || best < bound)) return best;
-      if (bound < 0) return -1;
-      if (bound > limit) return bound;
-      cur_ = bound;
-      if ((cur_ & (kHorizon - 1)) == 0) refill_far();
-      for (int level = kLevels - 1; level >= 1; --level) {
-        const std::int64_t width = std::int64_t{1} << (kSlotBits * level);
-        if ((cur_ & (width - 1)) == 0) cascade(level, cursor_slot(level));
-      }
-      // Items due exactly AT a boundary cascade straight into ready_ (place
-      // routes at == cur_ there). The cursor only ever moves through lower
-      // bounds, so anything in ready_ now IS the minimum — stop refining, or
-      // the loop would advance past it and strand it.
-      if (ready_head_ < ready_.size()) return cur_;
-    }
-  }
-
-  /// Next boundary <= limit at which cascade/refill work exists, or -1.
-  /// Boundaries whose slots are empty are skipped arithmetically.
-  std::int64_t next_cascade_boundary(std::int64_t limit) const {
+  /// Next boundary at which cascade/refill work exists (the earliest
+  /// non-empty upper-level slot start, or the far heap's refill point), or
+  /// -1. Boundaries whose slots are empty are skipped arithmetically.
+  std::int64_t next_boundary() const {
     std::int64_t best = -1;
     for (int level = 1; level < kLevels; ++level) {
       const int i = bit_find_from(bits_[static_cast<std::size_t>(level)],
@@ -232,8 +203,18 @@ class TimingWheel {
                                   << (kLevels * kSlotBits);
       if (best < 0 || refill < best) best = refill;
     }
-    if (best < 0 || best > limit) return -1;
     return best;
+  }
+
+  /// Move the cursor onto boundary \p b, cascading the slots that start
+  /// there (and refilling from the far heap at a horizon boundary).
+  void cross_boundary(std::int64_t b) {
+    cur_ = b;
+    if ((cur_ & (kHorizon - 1)) == 0) refill_far();
+    for (int level = kLevels - 1; level >= 1; --level) {
+      const std::int64_t width = std::int64_t{1} << (kSlotBits * level);
+      if ((cur_ & (width - 1)) == 0) cascade(level, cursor_slot(level));
+    }
   }
 
   /// Move the cursor to \p t, cascading every non-empty slot whose boundary
@@ -241,17 +222,12 @@ class TimingWheel {
   /// slot.
   void advance_to(std::int64_t t) {
     while (cur_ < t) {
-      const std::int64_t nb = next_cascade_boundary(t);
-      if (nb < 0) {
+      const std::int64_t nb = next_boundary();
+      if (nb < 0 || nb > t) {
         cur_ = t;
         return;
       }
-      cur_ = nb;
-      if ((cur_ & (kHorizon - 1)) == 0) refill_far();
-      for (int level = kLevels - 1; level >= 1; --level) {
-        const std::int64_t width = std::int64_t{1} << (kSlotBits * level);
-        if ((cur_ & (width - 1)) == 0) cascade(level, cursor_slot(level));
-      }
+      cross_boundary(nb);
     }
   }
 
@@ -293,12 +269,114 @@ class TimingWheel {
   };
 
   std::int64_t cur_{0};
-  std::size_t size_{0};
   std::array<std::array<std::vector<Item>, kSlots>, kLevels> slots_;
   std::array<Bitmap, kLevels> bits_{};
   std::vector<Item> far_;      ///< min-heap on (at, seq)
   std::vector<Item> ready_;    ///< due at cur_, seq-ascending
   std::size_t ready_head_{0};  ///< pop index into ready_
+};
+
+/// Identifies a scheduled event so it can be cancelled before it fires.
+/// Opaque to callers; internally (slot << 32) | generation into the handler
+/// slab, so cancel() is O(1) with no hashing. Never zero, and a default-
+/// constructed (zero) or stale id is always rejected harmlessly.
+using EventId = std::uint64_t;
+
+/// The timer queue behind both `Simulator` (virtual clock) and
+/// `RealTransport` (monotonic clock): a TimingWheel of trivially-copyable
+/// items plus a slab of handler cells, so ids, cancellation and the
+/// (time, seq) firing order are the same on both backends. Single-threaded.
+class EventQueue {
+ public:
+  using Handler = std::function<void()>;
+
+  /// Queue \p h at absolute time \p at (earlier than the cursor clamps).
+  EventId schedule(std::int64_t at, Handler h) {
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(cells_.size());
+      cells_.emplace_back();
+    }
+    Cell& c = cells_[slot];
+    c.h = std::move(h);
+    c.live = true;
+    ++live_;
+    const EventId id = (std::uint64_t{slot} << 32) | c.gen;
+    wheel_.schedule(TimingWheel::Item{at, next_seq_++, id});
+    return id;
+  }
+
+  /// True if \p id was pending; it will not fire. Fired, cancelled and
+  /// unknown ids are a harmless no-op. The wheel item stays put and is
+  /// swept when popped — O(1) cancel without hunting the wheel.
+  bool cancel(EventId id) {
+    if (!resolves(id)) return false;
+    free_cell(slot_of(id));
+    return true;
+  }
+
+  /// Pop the earliest live event due by \p limit into \p out, moving its
+  /// handler into \p h and retiring its id. False when nothing is due.
+  bool pop_due(std::int64_t limit, TimingWheel::Item& out, Handler& h) {
+    while (wheel_.pop_due(limit, out)) {
+      if (!resolves(out.id)) continue;  // cancelled; sweep
+      h = std::move(cells_[slot_of(out.id)].h);
+      free_cell(slot_of(out.id));
+      return true;
+    }
+    return false;
+  }
+
+  /// When the next event is due, never moving the cursor past \p limit
+  /// (see TimingWheel::advance_toward_next): exact when <= \p limit, else a
+  /// lower bound; -1 when empty. May name a cancelled event's time.
+  std::int64_t next_due(std::int64_t limit) {
+    return wheel_.advance_toward_next(limit);
+  }
+
+  /// Advance the cursor to \p t; nothing pending may be earlier.
+  void fast_forward(std::int64_t t) { wheel_.fast_forward(t); }
+
+  /// Events pending (cancelled ones excluded).
+  std::size_t pending() const { return live_; }
+
+  static std::uint32_t slot_of(EventId id) {
+    return static_cast<std::uint32_t>(id >> 32);
+  }
+
+ private:
+  /// One slab cell per handler. The handler is moved exactly twice — in at
+  /// schedule, out at fire. Retiring a cell bumps its generation, so an id
+  /// resolves only while pending: fired, cancelled and reused-slot ids miss.
+  struct Cell {
+    Handler h;
+    std::uint32_t gen{1};
+    bool live{false};
+  };
+
+  bool resolves(EventId id) const {
+    const std::uint32_t slot = slot_of(id);
+    return slot < cells_.size() && cells_[slot].live &&
+           cells_[slot].gen == static_cast<std::uint32_t>(id);
+  }
+
+  void free_cell(std::uint32_t slot) {
+    Cell& c = cells_[slot];
+    c.h = nullptr;
+    ++c.gen;
+    c.live = false;
+    free_.push_back(slot);
+    --live_;
+  }
+
+  TimingWheel wheel_;
+  std::uint64_t next_seq_{0};
+  std::vector<Cell> cells_;
+  std::vector<std::uint32_t> free_;  ///< recycled slots, LIFO
+  std::size_t live_{0};
 };
 
 }  // namespace lod::net

@@ -134,6 +134,12 @@ class ReliableEndpoint {
   };
 
   void handle_packet(const Datagram& p);
+  /// Hand one in-order message to the handler; a message it cannot decode
+  /// (ByteReader throws on truncation) is dropped and counted.
+  void deliver(const PeerKey& peer, Payload msg);
+  /// Count a malformed segment or message (lod.transport.messages_rejected,
+  /// bound on first use so runs without rejects export no extra series).
+  void reject();
   void transmit(const PeerKey& peer, std::uint64_t seq);
   void arm_retransmit(const PeerKey& peer, std::uint64_t seq, int tries_left);
   void send_ack(const PeerKey& peer, std::uint64_t ack_upto);
@@ -153,6 +159,7 @@ class ReliableEndpoint {
   obs::Counter messages_sent_;
   obs::Counter messages_delivered_;
   obs::Counter retransmissions_metric_;
+  obs::Counter messages_rejected_;
   obs::TraceSink* trace_{nullptr};
   std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
 };

@@ -10,6 +10,7 @@
 #include "lod/net/clock.hpp"
 #include "lod/net/payload.hpp"
 #include "lod/net/time.hpp"
+#include "lod/net/timing_wheel.hpp"  // EventId: one timer queue, both backends
 #include "lod/obs/hub.hpp"
 
 /// \file transport_base.hpp
@@ -46,10 +47,6 @@ namespace lod::net {
 using HostId = std::uint32_t;
 using Port = std::uint16_t;
 using ChannelId = std::uint32_t;
-
-/// Identifies a scheduled timer/event so it can be cancelled before firing.
-/// (Redeclared identically by the simulator; an alias may be repeated.)
-using EventId = std::uint64_t;
 
 /// The transport's unit of delivery. `wire_size` is what consumes link (or
 /// models kernel/framing) capacity; `payload` (+ optional `body`) is what

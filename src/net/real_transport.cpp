@@ -14,7 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
+#include <stdexcept>
 
 #include "lod/net/frame.hpp"
 #include "lod/net/transport.hpp"
@@ -201,21 +201,22 @@ SimTime RealTransport::now() const {
       std::chrono::duration_cast<std::chrono::microseconds>(d).count()};
 }
 
+void RealTransport::check_timer_thread() const {
+  const std::thread::id loop = loop_thread_.load();
+  if (loop != std::thread::id{} && loop != std::this_thread::get_id()) {
+    throw std::logic_error(
+        "RealTransport: timers are loop-thread only while run() is active");
+  }
+}
+
 EventId RealTransport::schedule_at(SimTime t, TimerFn fn) {
-  std::lock_guard lk(timer_mu_);
-  const EventId id = next_event_++;
-  timer_fns_.emplace(id, std::move(fn));
-  timer_heap_.push_back(TimerEntry{t, id});
-  std::push_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>{});
-  // A loop blocked in epoll_wait with a longer (or no) deadline must re-read
-  // the heap; scheduling from the loop thread itself needs no kick.
-  if (running_.load() && std::this_thread::get_id() != loop_thread_) wakeup();
-  return id;
+  check_timer_thread();
+  return timers_.schedule(t.us, std::move(fn));
 }
 
 bool RealTransport::cancel(EventId id) {
-  std::lock_guard lk(timer_mu_);
-  return timer_fns_.erase(id) > 0;  // heap entry is skipped lazily
+  check_timer_thread();
+  return timers_.cancel(id);
 }
 
 HostClock& RealTransport::clock(HostId h) {
@@ -393,41 +394,23 @@ void RealTransport::close_tcp(HostId h, Port port) {
   ::close(fd);
 }
 
-void RealTransport::wakeup() {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t w = ::write(wake_fd_, &one, sizeof one);
-}
-
 int RealTransport::next_timeout_ms() {
-  std::lock_guard lk(timer_mu_);
-  while (!timer_heap_.empty() && !timer_fns_.count(timer_heap_.front().id)) {
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>{});
-    timer_heap_.pop_back();
-  }
-  if (timer_heap_.empty()) return -1;
-  const std::int64_t delta_us = timer_heap_.front().at.us - now().us;
+  // Limit = now: the wheel cursor never runs ahead of the clock, so no later
+  // schedule is clamped past its time. A coarse bound just wakes us early.
+  const std::int64_t now_us = now().us;
+  const std::int64_t next = timers_.next_due(now_us);
+  if (next < 0) return -1;
+  const std::int64_t delta_us = next - now_us;
   if (delta_us <= 0) return 0;
   return static_cast<int>(std::min<std::int64_t>((delta_us + 999) / 1000, 60'000));
 }
 
 void RealTransport::fire_due_timers() {
   while (!stop_.load()) {
+    TimingWheel::Item it;
     TimerFn fn;
-    {
-      std::lock_guard lk(timer_mu_);
-      while (!timer_heap_.empty() && !timer_fns_.count(timer_heap_.front().id)) {
-        std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>{});
-        timer_heap_.pop_back();
-      }
-      if (timer_heap_.empty() || timer_heap_.front().at > now()) return;
-      const EventId id = timer_heap_.front().id;
-      std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>{});
-      timer_heap_.pop_back();
-      const auto it = timer_fns_.find(id);
-      fn = std::move(it->second);
-      timer_fns_.erase(it);
-    }
-    fn();  // outside the lock: timers schedule timers
+    if (!timers_.pop_due(now().us, it, fn)) return;
+    fn();
   }
 }
 
@@ -437,9 +420,8 @@ void RealTransport::rollup_tick() {
 }
 
 void RealTransport::run() {
-  loop_thread_ = std::this_thread::get_id();
+  loop_thread_.store(std::this_thread::get_id());
   stop_.store(false);
-  running_.store(true);
   if (rollup_window_us_ > 0 && !rollup_armed_) {
     // Prime the rollup baseline now; every subsequent tick appends one
     // window of Snapshot deltas for /debug/vars rates. The timer chain
@@ -476,12 +458,13 @@ void RealTransport::run() {
       if (conns_.count(fd)) on_tcp_readable(fd);
     }
   }
-  running_.store(false);
+  loop_thread_.store(std::thread::id{});
 }
 
 void RealTransport::stop() {
   stop_.store(true);
-  wakeup();
+  const std::uint64_t one = 1;  // kick a loop blocked in epoll_wait
+  [[maybe_unused]] const ssize_t w = ::write(wake_fd_, &one, sizeof one);
 }
 
 void RealTransport::on_udp_readable(UdpSocket& s) {

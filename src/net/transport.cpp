@@ -1,11 +1,15 @@
 #include "lod/net/transport.hpp"
 
+#include <stdexcept>
+
 namespace lod::net {
 
 namespace {
 // Wire tags for ReliableEndpoint frames.
 constexpr std::uint8_t kData = 1;
 constexpr std::uint8_t kAck = 2;
+/// Both frame kinds start [tag u8][u64][u64]; anything shorter is malformed.
+constexpr std::size_t kSegmentHeader = 17;
 
 /// Incarnation source. thread_local, not global: each simulation shard runs
 /// on its own thread (see net::ShardedRunner), and a process-wide counter
@@ -151,7 +155,26 @@ void ReliableEndpoint::send_ack(const PeerKey& peer, std::uint64_t ack_upto) {
   net_.send(std::move(p));
 }
 
+void ReliableEndpoint::reject() {
+  if (!messages_rejected_) {
+    messages_rejected_ =
+        net_.obs().metrics().counter("lod.transport.messages_rejected");
+  }
+  messages_rejected_.inc();
+}
+
+void ReliableEndpoint::deliver(const PeerKey& peer, Payload msg) {
+  messages_delivered_.inc();
+  if (!handler_) return;
+  try {
+    handler_(Message{peer.host, peer.port, std::move(msg)});
+  } catch (const std::out_of_range&) {
+    reject();  // a truncated message: the handler's ByteReader gave up
+  }
+}
+
 void ReliableEndpoint::handle_packet(const Datagram& p) {
+  if (p.payload.size() < kSegmentHeader) return reject();
   ByteReader r(p.payload);
   const std::uint8_t tag = r.u8();
   const PeerKey peer{p.src, p.src_port};
@@ -178,7 +201,9 @@ void ReliableEndpoint::handle_packet(const Datagram& p) {
   if (r.done()) {
     msg = p.body;
   } else {
+    if (r.remaining() < 4) return reject();
     const std::uint32_t n = r.u32();
+    if (n > r.remaining()) return reject();
     msg = p.payload.slice(r.offset(), n);
   }
 
@@ -199,8 +224,7 @@ void ReliableEndpoint::handle_packet(const Datagram& p) {
     // Fast path: the common in-order case delivers without touching the
     // out-of-order buffer at all.
     ++rx.next_expected;
-    messages_delivered_.inc();
-    if (handler_) handler_(Message{peer.host, peer.port, std::move(msg)});
+    deliver(peer, std::move(msg));
     // Drain any now-contiguous stash (gap fill), still in seq order.
     for (auto hole = rx.out_of_order.find(rx.next_expected);
          hole != rx.out_of_order.end();
@@ -208,8 +232,7 @@ void ReliableEndpoint::handle_packet(const Datagram& p) {
       Payload next = std::move(hole->second);
       rx.out_of_order.erase(hole);
       ++rx.next_expected;
-      messages_delivered_.inc();
-      if (handler_) handler_(Message{peer.host, peer.port, std::move(next)});
+      deliver(peer, std::move(next));
     }
   } else if (seq > rx.next_expected) {
     rx.out_of_order.emplace(seq, std::move(msg));  // no-op on duplicates

@@ -304,6 +304,33 @@ TEST_F(TransportFixture, GapFillDeliversStashedMessagesInSeqOrder) {
   EXPECT_EQ(got, (std::vector<std::string>{"m0", "m1", "m2", "m3"}));
 }
 
+TEST_F(TransportFixture, TruncatedInlineFramesAreRejectedAndCounted) {
+  // Legacy inline frames cut inside the length prefix, or whose prefix
+  // overruns the datagram, are dropped and counted rather than delivered
+  // short; a well-formed frame for the same seq still gets through.
+  link();
+  ReliableEndpoint eb(net, b, 200);
+  std::vector<std::string> got;
+  eb.on_receive([&](const ReliableEndpoint::Message& m) {
+    got.push_back(string_of(m.payload));
+  });
+
+  DatagramSocket raw(net, a, 100);
+  ByteWriter w;
+  w.u8(1);   // kData
+  w.u64(7);  // any nonzero incarnation
+  w.u64(0);  // seq
+  w.u32(2);
+  w.raw(bytes_of("m0"));
+  const std::vector<std::byte> whole = std::move(w).take();
+  raw.send_to(b, 200, std::vector<std::byte>(whole.begin(), whole.begin() + 19));
+  raw.send_to(b, 200, std::vector<std::byte>(whole.begin(), whole.end() - 1));
+  raw.send_to(b, 200, whole);
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"m0"}));
+  EXPECT_EQ(sim.obs().snapshot().counter("lod.transport.messages_rejected"), 2u);
+}
+
 TEST_F(TransportFixture, ReliableDeliveryIsZeroCopy) {
   // The delivered message must BE the sender's buffer (same body, not a
   // duplicate), and the whole exchange must not copy payload bytes at all.

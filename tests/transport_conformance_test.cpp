@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "lod/media/asf.hpp"
 #include "lod/net/network.hpp"
 #include "lod/net/real_transport.hpp"
 #include "lod/net/transport.hpp"
+#include "lod/streaming/protocol.hpp"
+#include "lod/streaming/server.hpp"
 
 /// \file transport_conformance_test.cpp
 /// One behavioral contract, two backends.
@@ -235,6 +242,9 @@ TYPED_TEST(TransportConformance, RpcDeadlineReportsTimeout) {
   EXPECT_EQ(*err, Error::kTimeout);
 }
 
+/// Both backends run timers on the same EventQueue, so they share its
+/// semantics: (time, schedule order) firing, past times clamped to now,
+/// stale ids inert, and cancellation from inside a same-instant sibling.
 TYPED_TEST(TransportConformance, TimersFireInOrderAndCancel) {
   Transport& t = this->h.transport();
   std::vector<int> fired;
@@ -248,11 +258,65 @@ TYPED_TEST(TransportConformance, TimersFireInOrderAndCancel) {
   EXPECT_TRUE(t.cancel(victim));
   EXPECT_FALSE(t.cancel(victim));  // second cancel is a stale no-op
 
+  // Same instant: FIFO in schedule order.
+  const SimTime same = t.now() + msec(20);
+  for (int i = 0; i < 4; ++i) {
+    t.schedule_at(same, [&fired, i] { fired.push_back(20 + i); });
+  }
+  // A handler may cancel a sibling due at its own instant before it runs.
+  const SimTime pair = t.now() + msec(40);
+  EventId sibling = 0;
+  t.schedule_at(pair, [&] {
+    fired.push_back(40);
+    EXPECT_TRUE(t.cancel(sibling));
+  });
+  sibling = t.schedule_at(pair, [&] { fired.push_back(41); });
+  // A time in the past clamps to now: scheduled last, it fires first.
+  const EventId past =
+      t.schedule_at(t.now() - sec(1), [&] { fired.push_back(0); });
+
   ASSERT_TRUE(this->h.run_until([&] { return done; }));
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], 10);
-  EXPECT_EQ(fired[1], 50);
+  EXPECT_EQ(fired, (std::vector<int>{0, 10, 20, 21, 22, 23, 40, 50}));
+  EXPECT_FALSE(t.cancel(past));     // already fired: a no-op
+  EXPECT_FALSE(t.cancel(sibling));  // already cancelled: a no-op
 }
+
+/// Truncated bytes from a peer must not take the event loop down. A 1-byte
+/// data segment (its header cut short) and a reliable 1-byte PAUSE (no
+/// session id) reach a streaming server's control port; the endpoint drops
+/// and counts both, and the next request on the stream is still answered.
+TYPED_TEST(TransportConformance, TruncatedControlInputIsDroppedAndCounted) {
+  namespace proto = streaming::proto;
+  Transport& t = this->h.transport();
+  streaming::ServerConfig cfg;
+  cfg.control_port = 15540;
+  streaming::StreamingServer server(t, this->h.b, cfg);
+  server.publish("lecture", media::asf::File{});
+
+  DatagramSocket raw(t, this->h.a, 7001);
+  raw.send_to(this->h.b, cfg.control_port, std::vector<std::byte>{std::byte{1}});
+  ReliableEndpoint ctl(t, this->h.a, 7002);
+  std::optional<proto::Ctl> reply;
+  ctl.on_receive([&](const ReliableEndpoint::Message& m) {
+    reply = static_cast<proto::Ctl>(m.payload.view()[0]);
+  });
+  ctl.send_to(this->h.b, cfg.control_port,
+              std::vector<std::byte>{std::byte{static_cast<std::uint8_t>(
+                  proto::Ctl::kPause)}});
+  ByteWriter describe;
+  describe.u8(static_cast<std::uint8_t>(proto::Ctl::kDescribe));
+  describe.str("lecture");
+  ctl.send_to(this->h.b, cfg.control_port, std::move(describe).take());
+
+  const auto rejected = [&] {
+    return t.obs().snapshot().counter("lod.transport.messages_rejected");
+  };
+  ASSERT_TRUE(this->h.run_until(
+      [&] { return reply.has_value() && rejected() == 2; }));
+  EXPECT_EQ(*reply, proto::Ctl::kDescribeOk);
+  EXPECT_EQ(rejected(), 2u);
+}
+
 
 TYPED_TEST(TransportConformance, EndpointNamesRoundTrip) {
   Transport& t = this->h.transport();
@@ -308,6 +372,29 @@ TYPED_TEST(TransportConformance, OversizedDatagramIsRefusedCleanly) {
   ASSERT_TRUE(this->h.run_until([&] { return got.has_value(); }));
   EXPECT_EQ(string_of(got->payload), "after the giant");
   if (!sent) EXPECT_FALSE(got_big);
+}
+
+/// Timers are loop-thread state: while `run()` is active, a schedule or
+/// cancel from another thread is refused loudly instead of racing, and
+/// `stop()` remains the one call any thread may make.
+TEST(RealTransportThreading, ForeignThreadTimersAreRejectedAndStopStillWorks) {
+  RealTransport rt;
+  std::atomic<bool> running{false};
+  rt.schedule_after(usec(0), [&] { running = true; });
+  const EventId later = rt.schedule_after(sec(30), [] {});
+  std::thread loop([&] { rt.run(); });
+  for (int i = 0; i < 5000 && !running.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(running.load());
+
+  EXPECT_THROW(rt.schedule_after(msec(1), [] {}), std::logic_error);
+  EXPECT_THROW(rt.cancel(later), std::logic_error);
+  rt.stop();  // kicks the loop out of epoll_wait
+  loop.join();
+
+  // The loop is idle again: the owning thread may touch timers.
+  EXPECT_TRUE(rt.cancel(later));
 }
 
 }  // namespace
