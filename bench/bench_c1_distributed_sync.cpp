@@ -114,14 +114,14 @@ static Recovery run_recovery(std::uint64_t seed) {
   const auto deck_block = [](sync::SessionState& s) {
     s.register_block(
         1, "deck",
-        [](sync::StateWriter& w) {
+        [](net::ByteWriter& w) {
           std::vector<std::byte> deck(8192);
           for (std::size_t i = 0; i < deck.size(); ++i) {
             deck[i] = static_cast<std::byte>(i * 131 + 17);
           }
           w.blob(deck);
         },
-        [](sync::StateReader& r) { (void)r.blob(); });
+        [](net::ByteReader& r) { (void)r.blob(); });
   };
 
   sync::SyncConfig base;

@@ -10,11 +10,12 @@
 #include <vector>
 
 /// \file bytes.hpp
-/// Little-endian byte-stream serialization used by the transport layer and
-/// the ASF container. Deliberately boring: fixed-width integers, doubles via
-/// bit copy, and length-prefixed strings/blobs. Readers bound-check every
-/// access and throw `std::out_of_range` on truncated input — a malformed
-/// packet must never become undefined behaviour.
+/// Little-endian byte-stream serialization used by the transport layer, the
+/// ASF container and the sync layer's state blocks and images. Deliberately
+/// boring: fixed-width integers, doubles via bit copy, and length-prefixed
+/// strings/blobs. Readers bound-check every access and throw
+/// `std::out_of_range` on truncated input — a malformed packet must never
+/// become undefined behaviour.
 
 namespace lod::net {
 
@@ -87,6 +88,30 @@ class ByteReader {
     return std::vector<std::byte>(s.begin(), s.end());
   }
   std::span<const std::byte> raw(std::size_t n) { return take(n); }
+
+  /// Structural guard: consume a u32 section tag and throw
+  /// `std::runtime_error` unless it is \p tag, so a reader that drifts out of
+  /// phase with its writer fails loudly instead of reinterpreting bytes.
+  void expect_marker(std::uint32_t tag) {
+    const std::uint32_t got = u32();
+    if (got != tag) {
+      throw std::runtime_error("ByteReader: marker mismatch (expected " +
+                               std::to_string(tag) + ", got " +
+                               std::to_string(got) + ")");
+    }
+  }
+
+  /// A u32 element count for a sequence whose elements each take at least
+  /// \p min_bytes_each bytes. Throws `std::out_of_range` when the remaining
+  /// input cannot hold that many, so a peer-chosen count never sizes an
+  /// allocation.
+  std::uint32_t count(std::size_t min_bytes_each) {
+    const std::uint32_t n = u32();
+    if (min_bytes_each != 0 && n > remaining() / min_bytes_each) {
+      throw std::out_of_range("ByteReader: count exceeds input");
+    }
+    return n;
+  }
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return remaining() == 0; }

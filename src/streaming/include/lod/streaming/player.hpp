@@ -154,52 +154,6 @@ struct InteractionRecord {
   }
 };
 
-/// The render-timeline portion of a player's state, as replicated across
-/// sites by `src/sync`: the render-clock mapping (media pts `base_pts` is on
-/// screen at local instant `epoch_local`), the pause position and rate, and
-/// the reorder-buffer cursor. Deliberately EXCLUDES the session lifecycle —
-/// state machine, serving site, buffered media — because sync repairs where
-/// the playhead is, not what the session is doing.
-struct PlayerSyncCursor {
-  std::int64_t base_pts_us{0};
-  std::int64_t epoch_local_us{0};
-  std::int64_t paused_pos_us{0};
-  double rate{1.0};
-  std::int64_t next_feed{-1};
-  std::int64_t highest_index{-1};
-  std::uint32_t stream_epoch{0};
-};
-
-/// The reorder-buffer half of the receive pipeline (repair mode): every
-/// packet held waiting for a hole to fill, plus the feed cursor — what a
-/// migrated session needs so outstanding repairs survive the move.
-struct PlayerReorderSnapshot {
-  /// index -> serialized packet bytes, ascending index.
-  std::vector<std::pair<std::uint32_t, std::vector<std::byte>>> held;
-  std::int64_t next_feed{-1};
-  std::int64_t repair_total{-1};
-  bool eos_received{false};
-};
-
-/// Pending NACK/repair bookkeeping: which file packets have landed and how
-/// many NACK attempts each outstanding hole has burned. Sorted, so the
-/// serialized form is deterministic across sites.
-struct PlayerRepairSnapshot {
-  std::vector<std::uint32_t> received;  ///< ascending
-  std::vector<std::pair<std::uint32_t, std::uint8_t>> nacks;  ///< by index
-  std::int64_t highest_index{-1};
-  std::int64_t max_index_seen{-1};
-  std::uint64_t repairs_requested{0};
-  std::uint64_t repairs_received{0};
-};
-
-/// Slide-cache references: which slide URLs are fully prefetched. In-flight
-/// fetches are deliberately absent — a fetch is not state until it lands,
-/// and the restored session simply re-fetches on demand.
-struct PlayerSlideCacheSnapshot {
-  std::vector<std::string> cached;  ///< sorted
-};
-
 /// Subscriber interface for the player's typed events: the uniform
 /// replacement for scraping the record vectors. All callbacks default to
 /// no-ops; override what you need. Events fire synchronously at the moment
@@ -272,16 +226,9 @@ class Player {
   bool paused_state() const { return state_ == State::kPaused; }
   /// Current media position per the render clock.
   net::SimDuration position() const;
-
-  /// Export the render-timeline state for sync-layer replication.
-  PlayerSyncCursor sync_cursor() const;
-
-  /// Install a replicated cursor. While playing, the player immediately
-  /// rolls forward through buffered script commands up to the restored
-  /// position (the catch-up half of a resync) and re-arms the renderer on
-  /// the restored timeline; in any other state the fields land silently and
-  /// take effect when rendering (re)starts.
-  void restore_sync_cursor(const PlayerSyncCursor& c);
+  /// The stream epoch the player expects: the count of seek
+  /// discontinuities in this session (stragglers from before are dropped).
+  std::uint32_t stream_epoch() const { return stream_epoch_; }
 
   // --- observability (what the benches read) ---------------------------------------
 
@@ -320,30 +267,48 @@ class Player {
   /// The server-side session id (0 before kPlayOk).
   std::uint64_t session_id() const { return session_; }
 
-  // --- session snapshot (sync/migration surfaces) ----------------------------------
+  // --- session blocks (sync/migration surface) -----------------------------------
 
-  /// Export / restore the reorder-buffer contents (held packets + cursors).
-  PlayerReorderSnapshot reorder_snapshot() const;
-  /// Installing a snapshot drains whatever became contiguous and re-arms the
-  /// hole timer, exactly as if the held packets had just arrived.
-  void restore_reorder(const PlayerReorderSnapshot& s);
+  /// The player's migratable state, one serialized block each. `src/sync`
+  /// registers them as `SessionState` blocks (ids 16-20) for replication and
+  /// for the `/edge/migrate` session image; the byte layout lives here, next
+  /// to the fields it captures. Every block opens with a section marker.
+  ///  - kCursor  — render timeline only: the render-clock mapping (media pts
+  ///               `base_pts` on screen at local instant `epoch_local`), pause
+  ///               position, rate, feed/repair cursors and stream epoch. The
+  ///               session lifecycle (state machine, serving site, buffered
+  ///               media) is deliberately absent: sync repairs where the
+  ///               playhead is, not what the session is doing.
+  ///  - kReorder — the reorder buffer (held packet bytes, ascending index)
+  ///               plus the feed cursor, so outstanding repairs survive a move.
+  ///  - kRepair  — NACK/repair bookkeeping: received indices and attempts per
+  ///               outstanding hole, both sorted so every site writes the
+  ///               same bytes.
+  ///  - kSlides  — completed slide-cache URLs, sorted. In-flight fetches are
+  ///               absent: a fetch is not state until it lands.
+  ///  - kTrace   — the session's trace id and root span, so a restored
+  ///               session keeps emitting spans under the original root.
+  enum class Block : std::uint8_t {
+    kCursor, kReorder, kRepair, kSlides, kTrace
+  };
 
-  /// Export / restore the NACK/repair bookkeeping.
-  PlayerRepairSnapshot repair_snapshot() const;
-  void restore_repair(const PlayerRepairSnapshot& s);
+  void save(Block b, net::ByteWriter& w) const;
+  /// Decodes the whole block before changing anything, so a malformed block
+  /// throws (`std::out_of_range` / `std::runtime_error`) and leaves the
+  /// player as it was. A load then acts as the state's arrival would:
+  ///  - kCursor while playing rolls forward through buffered script commands
+  ///    up to the restored position and re-arms the renderer; in any other
+  ///    state the fields take effect when rendering (re)starts.
+  ///  - kReorder drains whatever became contiguous and re-arms the hole timer.
+  ///  - kSlides stamps each URL as cached "now" (latency history does not
+  ///    migrate).
+  ///  - kTrace makes the next shared-path open keep the adopted root instead
+  ///    of minting a new "player.session" span.
+  void load(Block b, net::ByteReader& r);
 
-  /// Export / restore completed slide-cache references. Restore stamps each
-  /// URL as cached "now" — latency history does not migrate.
-  PlayerSlideCacheSnapshot slide_cache_snapshot() const;
-  void restore_slide_cache(const PlayerSlideCacheSnapshot& s);
-
-  /// The session's trace identity, for freezing alongside the media state so
-  /// a restored session keeps emitting spans under the original root.
+  /// The session's trace identity (also carried by the kTrace block).
   const obs::TraceContext& session_context() const { return session_ctx_; }
   std::uint64_t session_root_span() const { return session_span_; }
-  /// Adopt a frozen trace identity instead of minting a fresh one. The next
-  /// shared-path open reuses it (no new "player.session" root).
-  void restore_session_trace(std::uint64_t trace_id, std::uint64_t root_span);
 
   /// Migration seam: called at failover time (migrate_on_failover only) to
   /// produce the state image shipped in the `/edge/migrate` body. Installed
@@ -492,7 +457,7 @@ class Player {
   /// `lod.player.migrations` series (keeps the sim-transport golden stable).
   obs::Counter m_migrations_;
   std::function<std::vector<std::byte>()> image_provider_;
-  /// Set by restore_session_trace: the next begin_session_trace keeps the
+  /// Set by a kTrace load: the next begin_session_trace keeps the
   /// adopted identity instead of minting a fresh root.
   bool adopted_trace_{false};
   /// Highest file-packet index ever ingested this epoch (unlike

@@ -163,14 +163,6 @@ void Player::begin_session_trace() {
   session_ctx_ = root.child(session_span_);
 }
 
-void Player::restore_session_trace(std::uint64_t trace_id,
-                                   std::uint64_t root_span) {
-  session_span_ = root_span;
-  session_ctx_.trace_id = trace_id;
-  session_ctx_.parent_span_id = root_span;
-  adopted_trace_ = trace_id != 0;
-}
-
 void Player::open_to(net::HostId server, std::string content,
                      net::SimDuration from) {
   reset_session_state();
@@ -887,101 +879,175 @@ net::SimDuration Player::position() const {
   }
 }
 
-PlayerSyncCursor Player::sync_cursor() const {
-  PlayerSyncCursor c;
-  c.base_pts_us = base_pts_.us;
-  c.epoch_local_us = epoch_local_.us;
-  c.paused_pos_us = paused_pos_.us;
-  c.rate = rate_;
-  c.next_feed = next_feed_;
-  c.highest_index = highest_index_;
-  c.stream_epoch = stream_epoch_;
-  return c;
-}
+// --- session blocks (sync/migration surface) ---------------------------------------
 
-void Player::restore_sync_cursor(const PlayerSyncCursor& c) {
-  base_pts_ = net::SimDuration{c.base_pts_us};
-  epoch_local_ = net::SimTime{c.epoch_local_us};
-  paused_pos_ = net::SimDuration{c.paused_pos_us};
-  if (c.rate > 0) rate_ = c.rate;
-  next_feed_ = c.next_feed;
-  highest_index_ = c.highest_index;
-  stream_epoch_ = c.stream_epoch;
-  if (state_ == State::kPlaying) {
-    // The restored mapping may have jumped the playhead forward: catch up
-    // through every script command now due, then reschedule rendering on
-    // the restored timeline.
-    execute_scripts_upto(position());
-    arm_render_timer();
+namespace {
+
+// Section markers heading each block. Arbitrary but stable: wire format every
+// site of a migrating session shares.
+constexpr std::uint32_t kMarkCursor = 0x43555253u;   // 'CURS'
+constexpr std::uint32_t kMarkReorder = 0x524f5244u;  // 'RORD'
+constexpr std::uint32_t kMarkRepair = 0x52455052u;   // 'REPR'
+constexpr std::uint32_t kMarkSlides = 0x534c4944u;   // 'SLID'
+constexpr std::uint32_t kMarkTrace = 0x54524345u;    // 'TRCE'
+
+}  // namespace
+
+void Player::save(Block b, ByteWriter& w) const {
+  switch (b) {
+    case Block::kCursor:
+      w.u32(kMarkCursor);
+      w.i64(base_pts_.us);
+      w.i64(epoch_local_.us);
+      w.i64(paused_pos_.us);
+      w.f64(rate_);
+      w.i64(next_feed_);
+      w.i64(highest_index_);
+      w.u32(stream_epoch_);
+      return;
+    case Block::kReorder:
+      w.u32(kMarkReorder);
+      w.i64(next_feed_);
+      w.i64(repair_total_);
+      w.u8(eos_received_ ? 1 : 0);
+      w.u32(static_cast<std::uint32_t>(reorder_.size()));
+      for (const auto& [index, payload] : reorder_) {
+        w.u32(index);
+        w.blob(payload.view());
+      }
+      return;
+    case Block::kRepair: {
+      std::vector<std::uint32_t> received(received_index_.begin(),
+                                          received_index_.end());
+      std::sort(received.begin(), received.end());
+      std::vector<std::pair<std::uint32_t, std::uint8_t>> nacks(
+          nack_attempts_.begin(), nack_attempts_.end());
+      std::sort(nacks.begin(), nacks.end());
+      w.u32(kMarkRepair);
+      w.i64(highest_index_);
+      w.i64(max_index_seen_);
+      w.u64(repairs_requested_);
+      w.u64(repairs_received_);
+      w.u32(static_cast<std::uint32_t>(received.size()));
+      for (const std::uint32_t index : received) w.u32(index);
+      w.u32(static_cast<std::uint32_t>(nacks.size()));
+      for (const auto& [index, attempts] : nacks) {
+        w.u32(index);
+        w.u8(attempts);
+      }
+      return;
+    }
+    case Block::kSlides: {
+      std::vector<std::string_view> cached;
+      for (const auto& [url, done] : prefetched_) {
+        if (done.has_value()) cached.push_back(url);
+      }
+      std::sort(cached.begin(), cached.end());
+      w.u32(kMarkSlides);
+      w.u32(static_cast<std::uint32_t>(cached.size()));
+      for (const std::string_view url : cached) w.str(url);
+      return;
+    }
+    case Block::kTrace:
+      w.u32(kMarkTrace);
+      w.u64(session_ctx_.trace_id);
+      w.u64(session_span_);
+      return;
   }
 }
 
-// --- session snapshot (sync/migration surfaces) -------------------------------------
-
-PlayerReorderSnapshot Player::reorder_snapshot() const {
-  PlayerReorderSnapshot s;
-  s.held.reserve(reorder_.size());
-  for (const auto& [index, payload] : reorder_) {
-    s.held.emplace_back(index, payload.to_vector());
+void Player::load(Block b, ByteReader& r) {
+  switch (b) {
+    case Block::kCursor: {
+      r.expect_marker(kMarkCursor);
+      const net::SimDuration base_pts{r.i64()};
+      const net::SimTime epoch_local{r.i64()};
+      const net::SimDuration paused_pos{r.i64()};
+      const double rate = r.f64();
+      const std::int64_t next_feed = r.i64();
+      const std::int64_t highest_index = r.i64();
+      const std::uint32_t stream_epoch = r.u32();
+      base_pts_ = base_pts;
+      epoch_local_ = epoch_local;
+      paused_pos_ = paused_pos;
+      if (rate > 0) rate_ = rate;
+      next_feed_ = next_feed;
+      highest_index_ = highest_index;
+      stream_epoch_ = stream_epoch;
+      if (state_ == State::kPlaying) {
+        // The restored mapping may have jumped the playhead forward: catch
+        // up through every script command now due, then reschedule
+        // rendering on the restored timeline.
+        execute_scripts_upto(position());
+        arm_render_timer();
+      }
+      return;
+    }
+    case Block::kReorder: {
+      r.expect_marker(kMarkReorder);
+      const std::int64_t next_feed = r.i64();
+      const std::int64_t repair_total = r.i64();
+      const bool eos_received = r.u8() != 0;
+      std::map<std::uint32_t, net::Payload> held;
+      for (std::uint32_t n = r.count(/*index, blob length=*/8); n > 0; --n) {
+        const std::uint32_t index = r.u32();
+        held.emplace(index, net::Payload(r.blob()));
+      }
+      reorder_ = std::move(held);
+      next_feed_ = next_feed;
+      repair_total_ = repair_total;
+      eos_received_ = eos_received;
+      // As if the held packets just arrived: feed whatever became contiguous
+      // and put the head-of-line hole back on the clock.
+      drain_reorder();
+      if (!reorder_.empty()) arm_hole_timer();
+      return;
+    }
+    case Block::kRepair: {
+      r.expect_marker(kMarkRepair);
+      const std::int64_t highest_index = r.i64();
+      const std::int64_t max_index_seen = r.i64();
+      const std::uint64_t repairs_requested = r.u64();
+      const std::uint64_t repairs_received = r.u64();
+      std::vector<std::uint32_t> received(r.count(4));
+      for (std::uint32_t& index : received) index = r.u32();
+      std::vector<std::pair<std::uint32_t, std::uint8_t>> nacks(
+          r.count(/*index, attempts=*/5));
+      for (auto& [index, attempts] : nacks) {
+        index = r.u32();
+        attempts = r.u8();
+      }
+      received_index_.clear();
+      received_index_.insert(received.begin(), received.end());
+      nack_attempts_.clear();
+      nack_attempts_.insert(nacks.begin(), nacks.end());
+      highest_index_ = highest_index;
+      max_index_seen_ = max_index_seen;
+      repairs_requested_ = repairs_requested;
+      repairs_received_ = repairs_received;
+      return;
+    }
+    case Block::kSlides: {
+      r.expect_marker(kMarkSlides);
+      std::vector<std::string> cached(r.count(/*length prefix=*/4));
+      for (std::string& url : cached) url = r.str();
+      // Completion stamps do not migrate; what matters is "cached, appears
+      // instantly" — stamp them as of now.
+      const net::SimTime now = net_.now();
+      for (const std::string& url : cached) prefetched_[url] = now;
+      return;
+    }
+    case Block::kTrace: {
+      r.expect_marker(kMarkTrace);
+      const std::uint64_t trace_id = r.u64();
+      const std::uint64_t root_span = r.u64();
+      session_span_ = root_span;
+      session_ctx_.trace_id = trace_id;
+      session_ctx_.parent_span_id = root_span;
+      adopted_trace_ = trace_id != 0;
+      return;
+    }
   }
-  s.next_feed = next_feed_;
-  s.repair_total = repair_total_;
-  s.eos_received = eos_received_;
-  return s;
-}
-
-void Player::restore_reorder(const PlayerReorderSnapshot& s) {
-  reorder_.clear();
-  for (const auto& [index, bytes] : s.held) {
-    reorder_.emplace(index, net::Payload(bytes));
-  }
-  next_feed_ = s.next_feed;
-  repair_total_ = s.repair_total;
-  eos_received_ = s.eos_received;
-  // As if the held packets just arrived: feed whatever became contiguous and
-  // put the head-of-line hole back on the clock.
-  drain_reorder();
-  if (!reorder_.empty()) arm_hole_timer();
-}
-
-PlayerRepairSnapshot Player::repair_snapshot() const {
-  PlayerRepairSnapshot s;
-  s.received.assign(received_index_.begin(), received_index_.end());
-  std::sort(s.received.begin(), s.received.end());
-  s.nacks.assign(nack_attempts_.begin(), nack_attempts_.end());
-  std::sort(s.nacks.begin(), s.nacks.end());
-  s.highest_index = highest_index_;
-  s.max_index_seen = max_index_seen_;
-  s.repairs_requested = repairs_requested_;
-  s.repairs_received = repairs_received_;
-  return s;
-}
-
-void Player::restore_repair(const PlayerRepairSnapshot& s) {
-  received_index_.clear();
-  received_index_.insert(s.received.begin(), s.received.end());
-  nack_attempts_.clear();
-  nack_attempts_.insert(s.nacks.begin(), s.nacks.end());
-  highest_index_ = s.highest_index;
-  max_index_seen_ = s.max_index_seen;
-  repairs_requested_ = s.repairs_requested;
-  repairs_received_ = s.repairs_received;
-}
-
-PlayerSlideCacheSnapshot Player::slide_cache_snapshot() const {
-  PlayerSlideCacheSnapshot s;
-  for (const auto& [url, done] : prefetched_) {
-    if (done.has_value()) s.cached.push_back(url);
-  }
-  std::sort(s.cached.begin(), s.cached.end());
-  return s;
-}
-
-void Player::restore_slide_cache(const PlayerSlideCacheSnapshot& s) {
-  // Completion stamps do not migrate; what matters is "cached, appears
-  // instantly" — stamp them as of now.
-  const net::SimTime now = net_.now();
-  for (const auto& url : s.cached) prefetched_[url] = now;
 }
 
 void Player::arm_render_timer() {

@@ -295,7 +295,7 @@ void SyncAgent::handle_delta_request(const net::Datagram& d,
     return;
   }
   std::vector<BlockSum> peer;
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(/*id, sum=*/12);
   peer.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     BlockSum s;

@@ -17,7 +17,7 @@ SessionImage capture_session_image(SessionState& s,
   img.content = p.content();
   img.session_id = p.session_id();
   img.position_us = p.position().us;
-  img.stream_epoch = p.sync_cursor().stream_epoch;
+  img.stream_epoch = p.stream_epoch();
   img.trace_id = p.session_context().trace_id;
   img.root_span = p.session_root_span();
   img.state = s.serialize_full();
@@ -30,10 +30,10 @@ SessionState::ApplyResult restore_session_image(SessionState& s,
 }
 
 std::vector<std::byte> serialize_image(const SessionImage& img) {
-  StateWriter w;
+  net::ByteWriter w;
   w.u32(kSessionImageMagic);
   w.u16(kSessionImageVersion);
-  w.marker(kMarkEnvelope);
+  w.u32(kMarkEnvelope);
   w.str(img.content);
   w.u64(img.session_id);
   w.i64(img.position_us);
@@ -51,11 +51,11 @@ SessionImage parse_image(std::span<const std::byte> bytes) {
     throw std::runtime_error("SessionImage: truncated (no checksum)");
   }
   const auto body = bytes.first(bytes.size() - 8);
-  StateReader tail(bytes.subspan(bytes.size() - 8));
+  net::ByteReader tail(bytes.subspan(bytes.size() - 8));
   if (tail.u64() != checksum64(body)) {
     throw std::runtime_error("SessionImage: checksum mismatch");
   }
-  StateReader r(body);
+  net::ByteReader r(body);
   if (r.u32() != kSessionImageMagic) {
     throw std::runtime_error("SessionImage: bad magic");
   }

@@ -9,18 +9,19 @@
 #include "lod/sync/state.hpp"
 
 /// \file blocks.hpp
-/// Adapters that register the session-critical state of the lower layers as
-/// `SessionState` blocks. The providers (core, lod, streaming) know nothing
-/// about sync — they expose plain snapshot structs (`core::Marking`,
-/// `FloorControl::State`, `streaming::PlayerSyncCursor`) and this file owns
-/// the byte layout. Block ids are caller-chosen and must be identical on
-/// every site of a session.
+/// Registers the session-critical state of the lower layers as
+/// `SessionState` blocks. This file owns the byte layout of the blocks whose
+/// providers expose plain state (`core::Marking`, `FloorControl::State`).
+/// The player writes and reads its own blocks (`Player::save`/`load`), so
+/// its adapters only bind a `Player::Block` to an id. Block ids are
+/// caller-chosen and must be identical on every site of a session.
 
 namespace lod::sync {
 
-/// Serialize/deserialize a Petri-net marking (bare token vector).
-void save_marking(StateWriter& w, const core::Marking& m);
-void load_marking(StateReader& r, core::Marking& m);
+/// Serialize/deserialize a Petri-net marking (bare token vector). The load
+/// decodes the whole marking before assigning \p m.
+void save_marking(net::ByteWriter& w, const core::Marking& m);
+void load_marking(net::ByteReader& r, core::Marking& m);
 
 /// Register \p m (borrowed; must outlive the state) as a block.
 void register_marking_block(SessionState& s, std::uint32_t id,
@@ -32,35 +33,12 @@ void register_marking_block(SessionState& s, std::uint32_t id,
 void register_floor_block(SessionState& s, std::uint32_t id, std::string name,
                           ::lod::lod::FloorControl* f);
 
-/// Register a live player's render-timeline cursor. Loads go through
-/// `Player::restore_sync_cursor`, which rolls the player forward through
-/// buffered script commands when it is mid-playout.
-void register_player_block(SessionState& s, std::uint32_t id, std::string name,
-                           streaming::Player* p);
-
-/// Register a detached cursor struct (replica bookkeeping, tests).
-void register_player_cursor_block(SessionState& s, std::uint32_t id,
-                                  std::string name,
-                                  streaming::PlayerSyncCursor* c);
-
-/// Register the player's reorder buffer (held packets + feed cursor).
-/// Loads go through `Player::restore_reorder`, which drains whatever became
-/// contiguous exactly as if the packets had just arrived.
-void register_player_reorder_block(SessionState& s, std::uint32_t id,
-                                   std::string name, streaming::Player* p);
-
-/// Register the player's pending NACK/repair bookkeeping.
-void register_player_repair_block(SessionState& s, std::uint32_t id,
-                                  std::string name, streaming::Player* p);
-
-/// Register the player's completed slide-cache references.
-void register_player_slide_cache_block(SessionState& s, std::uint32_t id,
-                                       std::string name, streaming::Player* p);
-
-/// Register the session's trace identity (trace id + root span), so a
-/// restored session keeps emitting spans under the original root.
-void register_player_trace_block(SessionState& s, std::uint32_t id,
-                                 std::string name, streaming::Player* p);
+/// Register one of a live player's blocks (by default its render-timeline
+/// cursor; a mid-playout cursor load rolls the player forward through
+/// buffered script commands).
+void register_player_block(
+    SessionState& s, std::uint32_t id, std::string name, streaming::Player* p,
+    streaming::Player::Block block = streaming::Player::Block::kCursor);
 
 /// Well-known block ids for a full player session image (the blocks
 /// `register_player_session_blocks` registers). Part of the wire contract:

@@ -9,7 +9,7 @@
 #include "lod/lod/loadgen.hpp"
 #include "lod/net/sharded_runner.hpp"
 #include "lod/obs/flight.hpp"
-#include "lod/sync/serialize.hpp"
+#include "lod/sync/state.hpp"
 
 /// \file replay.hpp
 /// Deterministic record-replay for LoadGen runs (ROADMAP item 4, second

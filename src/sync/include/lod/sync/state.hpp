@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "lod/sync/serialize.hpp"
+#include "lod/net/bytes.hpp"
 
 /// \file state.hpp
 /// `SessionState`: the registry of serializable state blocks that together
@@ -28,6 +28,28 @@
 
 namespace lod::sync {
 
+/// FNV-1a 64-bit over a byte span — the cheap rolling checksum sync epochs
+/// gossip between sites. Not cryptographic; collision-resistant enough to
+/// flag replica drift (a false match self-corrects at the next epoch).
+inline std::uint64_t checksum64(std::span<const std::byte> bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::byte b : bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Fold one 64-bit value into a running checksum (combining per-block sums
+/// into a session checksum in block-id order).
+inline std::uint64_t checksum_combine(std::uint64_t seed, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    seed ^= (v >> (8 * i)) & 0xff;
+    seed *= 1099511628211ull;
+  }
+  return seed;
+}
+
 /// 'LSST' little-endian.
 constexpr std::uint32_t kImageMagic = 0x5453534cu;
 constexpr std::uint16_t kImageVersion = 1;
@@ -43,8 +65,14 @@ struct BlockSum {
 
 class SessionState {
  public:
-  using SaveFn = std::function<void(StateWriter&)>;
-  using LoadFn = std::function<void(StateReader&)>;
+  /// A block's bytes are a flat little-endian stream headed by a section
+  /// marker (`ByteReader::expect_marker`). The same state must serialize to
+  /// the same bytes on every site and every pass: per-block checksums over
+  /// them are what desync detection compares. A loader decodes the whole
+  /// block before it changes its target, so a malformed block throws and
+  /// leaves the target as it was.
+  using SaveFn = std::function<void(net::ByteWriter&)>;
+  using LoadFn = std::function<void(net::ByteReader&)>;
 
   /// Register a block. \p id must be unique within this state and identical
   /// across all sites of the session (throws std::invalid_argument on

@@ -57,12 +57,12 @@ std::vector<::lod::lod::SessionInput> SessionRecorder::inputs() const {
 std::uint64_t SessionRecorder::dropped() const { return flight_.dropped(); }
 
 std::vector<std::byte> serialize_input_log(const InputLog& log) {
-  StateWriter w;
+  net::ByteWriter w;
   w.u32(kInputLogMagic);
   w.u16(kInputLogVersion);
   w.u64(log.root_seed);
   w.u32(log.sessions);
-  w.marker(kMarkInputs);
+  w.u32(kMarkInputs);
   w.u32(static_cast<std::uint32_t>(log.records.size()));
   for (const ::lod::lod::SessionInput& in : log.records) {
     w.i64(in.t_us);
@@ -80,11 +80,11 @@ InputLog parse_input_log(std::span<const std::byte> bytes) {
     throw std::runtime_error("InputLog: truncated (no checksum)");
   }
   const auto body = bytes.first(bytes.size() - 8);
-  StateReader tail(bytes.subspan(bytes.size() - 8));
+  net::ByteReader tail(bytes.subspan(bytes.size() - 8));
   if (tail.u64() != checksum64(body)) {
     throw std::runtime_error("InputLog: checksum mismatch");
   }
-  StateReader r(body);
+  net::ByteReader r(body);
   if (r.u32() != kInputLogMagic) {
     throw std::runtime_error("InputLog: bad magic");
   }
@@ -97,7 +97,7 @@ InputLog parse_input_log(std::span<const std::byte> bytes) {
   log.root_seed = r.u64();
   log.sessions = r.u32();
   r.expect_marker(kMarkInputs);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(/*t_us, session, kind, arg_us=*/21);
   log.records.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     ::lod::lod::SessionInput in;

@@ -38,7 +38,7 @@ std::size_t SessionState::refresh() {
   dirty_.clear();
   std::uint64_t combined = checksum64({});
   for (Block& b : blocks_) {
-    StateWriter w;
+    net::ByteWriter w;
     b.save(w);
     std::vector<std::byte> bytes = std::move(w).take();
     const std::uint64_t sum = checksum64(bytes);
@@ -69,7 +69,7 @@ std::size_t SessionState::full_size_bytes() const {
 
 std::vector<std::byte> SessionState::serialize_blocks(
     const std::vector<const Block*>& blocks, bool delta) const {
-  StateWriter w;
+  net::ByteWriter w;
   w.u32(kImageMagic);
   w.u16(kImageVersion);
   w.u8(delta ? kImageFlagDelta : 0);
@@ -109,7 +109,7 @@ SessionState::ApplyResult SessionState::apply(
   ApplyResult r;
   r.bytes = image.size();
   try {
-    StateReader reader(image);
+    net::ByteReader reader(image);
     if (reader.u32() != kImageMagic) {
       r.error = "bad image magic";
       return r;
@@ -130,7 +130,7 @@ SessionState::ApplyResult SessionState::apply(
         r.error = "unknown block id " + std::to_string(id);
         return r;
       }
-      StateReader block_reader(bytes);
+      net::ByteReader block_reader(bytes);
       b->load(block_reader);
       if (!block_reader.done()) {
         r.error = "block " + b->name + ": loader left " +

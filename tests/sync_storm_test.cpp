@@ -49,14 +49,14 @@ struct Site {
 void register_deck_block(SessionState& s) {
   s.register_block(
       1, "deck",
-      [](StateWriter& w) {
+      [](net::ByteWriter& w) {
         std::vector<std::byte> deck(kDeckBytes);
         for (std::size_t i = 0; i < deck.size(); ++i) {
           deck[i] = static_cast<std::byte>(i * 31 + 7);
         }
         w.blob(deck);
       },
-      [](StateReader& r) { (void)r.blob(); });
+      [](net::ByteReader& r) { (void)r.blob(); });
 }
 
 TEST(SyncStorm, LossyFloorStormConvergesViaDeltasOnly) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 
 #include "lod/lod/floor.hpp"
@@ -11,7 +15,7 @@
 #include "lod/streaming/server.hpp"
 #include "lod/sync/blocks.hpp"
 #include "lod/sync/detector.hpp"
-#include "lod/sync/serialize.hpp"
+#include "lod/sync/image.hpp"
 #include "lod/sync/state.hpp"
 
 namespace lod::sync {
@@ -26,10 +30,10 @@ std::span<const std::byte> span_of(const std::vector<std::byte>& v) {
   return {v.data(), v.size()};
 }
 
-// --- StateWriter / StateReader ----------------------------------------------------
+// --- block serialization (net::ByteWriter / ByteReader + markers) -----------------
 
 TEST(SyncSerialize, RoundTripsEveryFieldType) {
-  StateWriter w;
+  net::ByteWriter w;
   w.u8(7);
   w.u16(60000);
   w.u32(0xdeadbeef);
@@ -37,10 +41,10 @@ TEST(SyncSerialize, RoundTripsEveryFieldType) {
   w.i64(-12345);
   w.f64(1.25);
   w.str("floor_free");
-  w.marker(0x4d41524bu);
+  w.u32(0x4d41524bu);  // section marker
   w.blob(span_of(std::vector<std::byte>(13, std::byte{0x5a})));
 
-  StateReader r(span_of(w.bytes()));
+  net::ByteReader r(span_of(w.bytes()));
   EXPECT_EQ(r.u8(), 7);
   EXPECT_EQ(r.u16(), 60000);
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
@@ -54,18 +58,36 @@ TEST(SyncSerialize, RoundTripsEveryFieldType) {
 }
 
 TEST(SyncSerialize, MarkerMismatchThrows) {
-  StateWriter w;
-  w.marker(1);
-  StateReader r(span_of(w.bytes()));
+  net::ByteWriter w;
+  w.u32(1);
+  net::ByteReader r(span_of(w.bytes()));
   EXPECT_THROW(r.expect_marker(2), std::runtime_error);
 }
 
 TEST(SyncSerialize, TruncatedInputThrowsNeverUb) {
-  StateWriter w;
+  net::ByteWriter w;
   w.u64(42);
   const auto& b = w.bytes();
-  StateReader r(std::span{b.data(), 3});
+  net::ByteReader r(std::span{b.data(), 3});
   EXPECT_THROW(r.u64(), std::out_of_range);
+  // A marker cut short is truncation, not a mismatch.
+  net::ByteReader m(std::span{b.data(), 3});
+  EXPECT_THROW(m.expect_marker(42), std::out_of_range);
+}
+
+TEST(SyncSerialize, CountLargerThanTheInputThrowsBeforeAllocating) {
+  net::ByteWriter w;
+  w.u32(3);
+  for (std::uint32_t i = 0; i < 3; ++i) w.u32(i);
+  net::ByteReader fits(span_of(w.bytes()));
+  EXPECT_EQ(fits.count(4), 3u);
+  net::ByteReader too_wide(span_of(w.bytes()));
+  EXPECT_THROW(too_wide.count(5), std::out_of_range);  // 3 x 5 > 12 bytes
+
+  net::ByteWriter huge;
+  huge.u32(0xffffffffu);
+  net::ByteReader r(span_of(huge.bytes()));
+  EXPECT_THROW(r.count(1), std::out_of_range);
 }
 
 TEST(SyncSerialize, ChecksumIsDeterministicAndSensitive) {
@@ -113,14 +135,38 @@ TEST(DesyncDetector, ResyncResetsTheStreak) {
 
 // --- SessionState -----------------------------------------------------------------
 
+/// A detached render cursor: plain replica bookkeeping, registered as a
+/// block straight through `SessionState::register_block`.
+struct Cursor {
+  std::int64_t base_pts_us{0};
+  double rate{1.0};
+};
+
+void register_cursor_block(SessionState& s, std::uint32_t id, Cursor* c) {
+  constexpr std::uint32_t kMark = 0x43555253u;  // 'CURS'
+  s.register_block(
+      id, "cursor",
+      [c](net::ByteWriter& w) {
+        w.u32(kMark);
+        w.i64(c->base_pts_us);
+        w.f64(c->rate);
+      },
+      [c](net::ByteReader& r) {
+        r.expect_marker(kMark);
+        const std::int64_t base = r.i64();
+        const double rate = r.f64();
+        *c = Cursor{base, rate};
+      });
+}
+
 struct TwoBlockState {
   core::Marking marking{1, 0, 2};
-  streaming::PlayerSyncCursor cursor;
+  Cursor cursor;
   SessionState state;
 
   TwoBlockState() {
     register_marking_block(state, 1, "marking", &marking);
-    register_player_cursor_block(state, 2, "cursor", &cursor);
+    register_cursor_block(state, 2, &cursor);
     state.refresh();
   }
 };
@@ -140,7 +186,7 @@ TEST(SessionState, DuplicateBlockIdThrows) {
   TwoBlockState s;
   EXPECT_THROW(
       s.state.register_block(
-          1, "dup", [](StateWriter&) {}, [](StateReader&) {}),
+          1, "dup", [](net::ByteWriter&) {}, [](net::ByteReader&) {}),
       std::invalid_argument);
 }
 
@@ -202,6 +248,48 @@ TEST(SessionState, ApplyRejectsGarbageAndUnknownBlocks) {
   const auto res = s.state.apply(span_of(other.serialize_full()));
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("unknown block"), std::string::npos);
+}
+
+/// A hand-built LSST delta carrying one block.
+std::vector<std::byte> one_block_delta(std::uint32_t id,
+                                       std::span<const std::byte> bytes) {
+  net::ByteWriter w;
+  w.u32(kImageMagic);
+  w.u16(kImageVersion);
+  w.u8(kImageFlagDelta);
+  w.u32(1);
+  w.u32(id);
+  w.blob(bytes);
+  w.u64(0);  // target checksum
+  return std::move(w).take();
+}
+
+TEST(SessionState, OversizedPeerCountFailsTheApplyAndLeavesTheMarking) {
+  TwoBlockState s;
+  const core::Marking before = s.marking;
+  // 'MARK' + a count of 1M tokens, and no tokens: a 35-byte delta that
+  // must not size a 4 MiB marking.
+  net::ByteWriter block;
+  block.u32(0x4d41524bu);
+  block.u32(1u << 20);
+  const auto delta = one_block_delta(1, span_of(block.bytes()));
+  ASSERT_EQ(delta.size(), 35u);
+  const auto res = s.state.apply(span_of(delta));
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(s.marking, before);
+  EXPECT_LT(s.marking.capacity(), 1024u);
+
+  // The same lie inside a floor block's FIFO.
+  ::lod::lod::FloorControl floor({"ann", "bob"});
+  ASSERT_TRUE(floor.request("ann"));
+  SessionState fs;
+  register_floor_block(fs, 2, "floor", &floor);
+  net::ByteWriter fb;
+  fb.u32(0x464c4f52u);  // 'FLOR'
+  save_marking(fb, floor.marking());
+  fb.u32(0xffffffffu);
+  EXPECT_FALSE(fs.apply(one_block_delta(2, span_of(fb.bytes()))).ok);
+  EXPECT_EQ(floor.holder(), "ann");
 }
 
 // --- structure hash ---------------------------------------------------------------
@@ -271,8 +359,8 @@ struct SyncAgentTest : ::testing::Test {
 
   core::Marking m_auth{1, 0, 0};
   core::Marking m_repl{1, 0, 0};
-  streaming::PlayerSyncCursor c_auth;
-  streaming::PlayerSyncCursor c_repl;
+  Cursor c_auth;
+  Cursor c_repl;
   SessionState s_auth;
   SessionState s_repl;
   std::unique_ptr<SyncAgent> authority;
@@ -287,9 +375,9 @@ struct SyncAgentTest : ::testing::Test {
     network.add_link(authority_host, replica_host, lan);
 
     register_marking_block(s_auth, 1, "marking", &m_auth);
-    register_player_cursor_block(s_auth, 2, "cursor", &c_auth);
+    register_cursor_block(s_auth, 2, &c_auth);
     register_marking_block(s_repl, 1, "marking", &m_repl);
-    register_player_cursor_block(s_repl, 2, "cursor", &c_repl);
+    register_cursor_block(s_repl, 2, &c_repl);
   }
 
   void make_agents(std::uint64_t auth_structure = 42,
@@ -379,34 +467,67 @@ TEST_F(SyncAgentTest, SyncMetricsAreRegisteredPerHost) {
 
 // --- mid-playout serialization (the ROADMAP item-4 foundation contract) -----------
 
-TEST(SyncMidPlayout, SerializeDeserializeSerializeIsByteIdentical) {
+/// One ETPN player 10 s into a 30 s lecture over a 2 ms LAN. \p eventful
+/// adds 5% loss with selective repair, prefetched slide flips and tracing,
+/// so every player session block carries live data.
+struct MidPlayout {
   net::Simulator sim;
-  net::Network network(sim, 1234);
-  const auto server_host = network.add_host("server");
-  const auto client_host = network.add_host("client");
-  net::LinkConfig lan;
-  lan.bandwidth_bps = 10'000'000;
-  lan.latency = msec(2);
-  network.add_link(server_host, client_host, lan);
+  net::Network network{sim, 1234};
+  std::unique_ptr<streaming::StreamingServer> server;
+  std::unique_ptr<net::RpcServer> web;
+  std::unique_ptr<streaming::Player> player;
 
-  streaming::StreamingServer server(network, server_host);
-  streaming::EncodeJob job;
-  job.profile = *media::find_profile("Video 250k DSL/cable");
-  job.title = "Lecture";
-  job.preroll = msec(2000);
-  media::LectureVideoSource v(sec(30), job.profile.fps, job.profile.width,
-                              job.profile.height, 7);
-  media::LectureAudioSource a(sec(30), job.profile.audio_sample_rate());
-  server.publish("lec", streaming::encode_lecture(job, v, a, {}).file);
+  explicit MidPlayout(bool eventful) {
+    const auto server_host = network.add_host("server");
+    const auto client_host = network.add_host("client");
+    net::LinkConfig lan;
+    lan.bandwidth_bps = 10'000'000;
+    lan.latency = msec(2);
+    if (eventful) lan.loss_rate = 0.05;
+    network.add_link(server_host, client_host, lan);
+    if (eventful) sim.obs().trace().set_enabled(true);
 
-  streaming::PlayerConfig cfg;
-  cfg.model = streaming::SyncModel::kEtpn;
-  cfg.ctl_port = 5000;
-  cfg.data_port = 5001;
-  cfg.web_server = server_host;
-  streaming::Player player(network, client_host, cfg);
-  player.open_and_play(server_host, "lec");
-  sim.run_until(SimTime{sec(10).us});
+    server = std::make_unique<streaming::StreamingServer>(network, server_host);
+    streaming::EncodeJob job;
+    job.profile = *media::find_profile("Video 250k DSL/cable");
+    job.title = "Lecture";
+    job.preroll = msec(2000);
+    media::LectureVideoSource v(sec(30), job.profile.fps, job.profile.width,
+                                job.profile.height, 7);
+    media::LectureAudioSource a(sec(30), job.profile.audio_sample_rate());
+    std::vector<media::asf::ScriptCommand> scripts;
+    if (eventful) {
+      web = std::make_unique<net::RpcServer>(network, server_host,
+                                             streaming::proto::kWebPort);
+      for (std::uint32_t i = 0; i < 3; ++i) {
+        web->route("/slides/" + std::to_string(i),
+                   [](std::string_view, std::span<const std::byte>) {
+                     return std::make_pair(
+                         200, media::asf::pattern_bytes(20'000, 1));
+                   });
+      }
+      scripts = streaming::slide_flip_commands(
+          media::make_slide_schedule(3, sec(30), 17), "slides/");
+    }
+    server->publish("lec",
+                    streaming::encode_lecture(job, v, a, scripts).file);
+
+    streaming::PlayerConfig cfg;
+    cfg.model = streaming::SyncModel::kEtpn;
+    cfg.ctl_port = 5000;
+    cfg.data_port = 5001;
+    cfg.web_server = server_host;
+    cfg.repair_losses = eventful;
+    cfg.prefetch_slides = eventful;
+    player = std::make_unique<streaming::Player>(network, client_host, cfg);
+    player->open_and_play(server_host, "lec");
+    sim.run_until(SimTime{sec(10).us});
+  }
+};
+
+TEST(SyncMidPlayout, SerializeDeserializeSerializeIsByteIdentical) {
+  MidPlayout s(/*eventful=*/false);
+  streaming::Player& player = *s.player;
   ASSERT_TRUE(player.playing());
   const SimDuration pos_before = player.position();
   ASSERT_GT(pos_before.us, 0);
@@ -429,6 +550,76 @@ TEST(SyncMidPlayout, SerializeDeserializeSerializeIsByteIdentical) {
   // Re-applying its own cursor did not move the playhead.
   EXPECT_EQ(player.position().us, pos_before.us);
   EXPECT_EQ(floor.holder(), "teacher");
+}
+
+TEST(SyncMidPlayout, MalformedReorderBlockLeavesThePlayerUntouched) {
+  MidPlayout s(/*eventful=*/true);
+  streaming::Player& player = *s.player;
+  ASSERT_TRUE(player.playing());
+  SessionState state;
+  register_player_session_blocks(state, &player);
+  state.refresh();
+  const std::vector<BlockSum> before = state.block_sums();
+  const SimDuration pos_before = player.position();
+
+  net::ByteWriter reorder;
+  player.save(streaming::Player::Block::kReorder, reorder);
+  const std::span<const std::byte> whole = span_of(reorder.bytes());
+  ASSERT_GT(whole.size(), 64u) << "no held packets to lose";
+  // Cut inside the last held packet.
+  EXPECT_FALSE(
+      state.apply(one_block_delta(kBlockPlayerReorder,
+                                  whole.first(whole.size() - 16)))
+          .ok);
+  // Claim 1M held packets after the real header fields.
+  net::ByteWriter lie;
+  lie.raw(whole.first(4 + 8 + 8 + 1));
+  lie.u32(1u << 20);
+  EXPECT_FALSE(
+      state.apply(one_block_delta(kBlockPlayerReorder, span_of(lie.bytes())))
+          .ok);
+
+  state.refresh();
+  EXPECT_EQ(state.dirty_blocks().size(), 0u);
+  const std::vector<BlockSum> after = state.block_sums();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].sum, before[i].sum) << "block " << after[i].id;
+  }
+  EXPECT_EQ(player.position().us, pos_before.us);
+}
+
+/// Pins the session-image wire format: a mid-playout image of all five
+/// player blocks must match the committed golden byte for byte. Round-trip
+/// identity alone would pass a format change made on both sides at once.
+///
+/// Regenerate (ONLY for an intentional, reviewed format change):
+///   LOD_WRITE_GOLDEN=1 build/tests/sync_tests --gtest_filter='SyncMidPlayout.*'
+TEST(SyncMidPlayout, SessionImageBytesMatchGolden) {
+  MidPlayout s(/*eventful=*/true);
+  ASSERT_TRUE(s.player->playing());
+  SessionState state;
+  register_player_session_blocks(state, s.player.get());
+  const std::vector<std::byte> got =
+      serialize_image(capture_session_image(state, *s.player));
+  const std::string path =
+      std::string(LOD_GOLDEN_DIR) + "/session_image.bin";
+
+  if (std::getenv("LOD_WRITE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(got.data()),
+              static_cast<std::streamsize>(got.size()));
+    GTEST_SKIP() << "golden regenerated at " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  const std::string want((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size()), 0)
+      << "session image bytes drifted from the golden; if the change is "
+         "intentional, regenerate with LOD_WRITE_GOLDEN=1";
 }
 
 }  // namespace
