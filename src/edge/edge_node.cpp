@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <utility>
 
 namespace lod::edge {
@@ -185,49 +186,79 @@ EdgeNode::ContentMeta& EdgeNode::ensure_meta(const std::string& content,
                      if (!*alive) return;
                      const int status = r ? r->status : 0;
                      if (status != 200) {
-                       ContentMeta& m = contents_[content];
-                       m.fetching = false;
-                       if (m.fill_span) {
-                         trace_->end_span(m.fill_ctx, m.fill_span,
-                                          "edge.meta_fill", host_, status);
-                         m.fill_span = 0;
-                       }
-                       for (auto [h, p] : m.waiting_describe) {
-                         ByteWriter e;
-                         e.u8(static_cast<std::uint8_t>(Ctl::kError));
-                         e.str("no such content: " + content);
-                         reply_to(h, p, std::move(e).take());
-                       }
-                       m.waiting_describe.clear();
-                       return;
+                       fail_meta_fill(content, status,
+                                      "no such content: " + content);
+                     } else if (!on_meta(content, r->body)) {
+                       reject_origin_reply();
+                       fail_meta_fill(content, status,
+                                      "malformed meta for: " + content);
                      }
-                     on_meta(content, r->body);
                    });
   return meta;
 }
 
-void EdgeNode::on_meta(const std::string& content,
+void EdgeNode::fail_meta_fill(const std::string& content, int status,
+                              const std::string& error) {
+  ContentMeta& m = contents_[content];
+  m.fetching = false;
+  if (m.fill_span) {
+    trace_->end_span(m.fill_ctx, m.fill_span, "edge.meta_fill", host_, status);
+    m.fill_span = 0;
+  }
+  for (auto [h, p] : m.waiting_describe) {
+    ByteWriter e;
+    e.u8(static_cast<std::uint8_t>(Ctl::kError));
+    e.str(error);
+    reply_to(h, p, std::move(e).take());
+  }
+  m.waiting_describe.clear();
+}
+
+void EdgeNode::reject_origin_reply() {
+  if (!m_origin_replies_rejected_) {
+    m_origin_replies_rejected_ = net_.obs().metrics().counter(
+        "lod.edge.origin_replies_rejected", {{"host", std::to_string(host_)}});
+  }
+  m_origin_replies_rejected_.inc();
+}
+
+bool EdgeNode::on_meta(const std::string& content,
                        std::span<const std::byte> body) {
+  // Decode the whole reply into locals first: the origin's counts size
+  // nothing the remaining bytes cannot hold, and a malformed reply commits
+  // nothing.
+  std::vector<std::byte> header_bytes;
+  media::asf::Header header;
+  std::uint32_t packet_count = 0;
+  std::vector<media::asf::IndexEntry> index;
+  std::vector<std::int64_t> send_times_us;
+  try {
+    ByteReader r(body);
+    header_bytes = r.blob();
+    header = media::asf::parse_header(header_bytes);
+    packet_count = r.count(8);
+    const std::uint32_t index_count = r.count(12);
+    index.reserve(index_count);
+    for (std::uint32_t i = 0; i < index_count; ++i) {
+      media::asf::IndexEntry e;
+      e.time = net::SimDuration{r.i64()};
+      e.packet = r.u32();
+      index.push_back(e);
+    }
+    send_times_us.reserve(packet_count);
+    for (std::uint32_t i = 0; i < packet_count; ++i) {
+      send_times_us.push_back(r.i64());
+    }
+  } catch (const std::exception&) {
+    return false;
+  }
   ContentMeta& meta = contents_[content];
   meta.fetching = false;
-  ByteReader r(body);
-  meta.header_bytes = r.blob();
-  meta.header = media::asf::parse_header(meta.header_bytes);
-  meta.packet_count = r.u32();
-  const std::uint32_t index_count = r.u32();
-  meta.index.clear();
-  meta.index.reserve(index_count);
-  for (std::uint32_t i = 0; i < index_count; ++i) {
-    media::asf::IndexEntry e;
-    e.time = net::SimDuration{r.i64()};
-    e.packet = r.u32();
-    meta.index.push_back(e);
-  }
-  meta.send_times_us.clear();
-  meta.send_times_us.reserve(meta.packet_count);
-  for (std::uint32_t i = 0; i < meta.packet_count; ++i) {
-    meta.send_times_us.push_back(r.i64());
-  }
+  meta.header_bytes = std::move(header_bytes);
+  meta.header = std::move(header);
+  meta.packet_count = packet_count;
+  meta.index = std::move(index);
+  meta.send_times_us = std::move(send_times_us);
   meta.ready = true;
   if (meta.fill_span) {
     trace_->end_span(meta.fill_ctx, meta.fill_span, "edge.meta_fill", host_,
@@ -246,6 +277,7 @@ void EdgeNode::on_meta(const std::string& content,
   const auto ok_bytes = std::move(ok).take();
   for (auto [h, p] : meta.waiting_describe) reply_to(h, p, ok_bytes);
   meta.waiting_describe.clear();
+  return true;
 }
 
 std::uint32_t EdgeNode::packet_for(const ContentMeta& meta,
@@ -653,26 +685,16 @@ void EdgeNode::send_packet(Session& s, const net::Payload& bytes,
   const ContentMeta& meta = contents_.at(s.content);
   // Per-send frame header only; the cached serialized packet rides as a
   // shared body — the edge relays media it never copied or parsed.
-  ByteWriter w;
-  w.u32(streaming::proto::kDataMagic);
-  w.u64(s.id);
-  w.u32(s.epoch);
-  w.u64(s.next_seq++);
-  w.u32(packet_index);
-
   net::Datagram p;
   p.src = host_;
   p.dst = s.client;
   p.src_port = data_.port();
   p.dst_port = s.data_port;
-  p.payload = std::move(w).take();
+  p.payload =
+      streaming::proto::data_header(s.id, s.epoch, s.next_seq++, packet_index);
   p.body = bytes;
-  const std::uint32_t nominal = meta.header.props.packet_bytes + 20u;
-  p.wire_size =
-      std::max<std::uint32_t>(
-          static_cast<std::uint32_t>(p.payload.size() + p.body.size()),
-          nominal) +
-      28;
+  p.wire_size = streaming::proto::data_wire_size(
+      p.payload.size() + p.body.size(), meta.header.props.packet_bytes);
   p.channel = s.channel;
   m_packets_sent_.inc();
   m_bytes_sent_.inc(p.wire_size);
@@ -743,17 +765,22 @@ void EdgeNode::on_segment(const std::string& content, std::uint32_t segment,
   }
   if (status != 200) return;  // parked sessions stall; the player fails over
 
-  ByteReader r(body);
-  const std::uint32_t count = r.u32();
   // Cache zero-copy slices of the fetch response: each cached packet is a
   // refcounted view of the one buffer the RPC already delivered. The edge
   // never parses media it only relays.
   std::vector<net::Payload> packets;
-  packets.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t n = r.u32();
-    packets.push_back(body.slice(r.offset(), n));
-    r.raw(n);
+  try {
+    ByteReader r(body);
+    const std::uint32_t count = r.count(4);
+    packets.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t n = r.u32();
+      packets.push_back(body.slice(r.offset(), n));
+      r.raw(n);
+    }
+  } catch (const std::exception&) {
+    reject_origin_reply();
+    return;  // as a failed fetch: parked sessions stall, players fail over
   }
   m_fetch_bytes_.inc(body.size());
   if (fetch.demand) m_miss_fill_us_.observe(elapsed.us);

@@ -195,7 +195,15 @@ class EdgeNode {
   void reply_to(net::HostId h, net::Port p, std::vector<std::byte> payload);
   ContentMeta& ensure_meta(const std::string& content,
                            const obs::TraceContext& ctx = {});
-  void on_meta(const std::string& content, std::span<const std::byte> body);
+  /// Commit a 200 `/edge/meta` reply and answer the parked DESCRIBEs; false
+  /// (nothing committed) when the reply does not decode.
+  bool on_meta(const std::string& content, std::span<const std::byte> body);
+  /// End a meta fill that brought no usable meta: parked DESCRIBEs get
+  /// kError(\p error) and the next DESCRIBE starts a fresh fill.
+  void fail_meta_fill(const std::string& content, int status,
+                      const std::string& error);
+  /// Count an origin reply that did not decode.
+  void reject_origin_reply();
   void schedule_next(Session& s);
   void deliver_due(std::uint64_t sid);
   /// Send one cached wire packet: per-send frame header in the payload, the
@@ -230,6 +238,8 @@ class EdgeNode {
   obs::Counter m_repairs_;
   /// Lazily bound on first adoption (keeps migration-free goldens stable).
   obs::Counter m_migrations_adopted_;
+  /// Malformed `/edge/meta` or `/edge/segment` replies; lazily bound too.
+  obs::Counter m_origin_replies_rejected_;
   obs::Histogram m_miss_fill_us_;
   /// State images received with adopted sessions, kept verbatim for the
   /// client-side sync layer (and the migration tests) to read back.

@@ -24,6 +24,36 @@ constexpr std::uint32_t kPacketMagic = 0x4c4f4450;  // "LODP"
 std::uint64_t drm_nonce(std::uint16_t stream, std::uint32_t object) {
   return (static_cast<std::uint64_t>(stream) << 32) | object;
 }
+
+// Smallest serialized stream-table entry (empty codec name).
+constexpr std::size_t kWireStreamMinBytes = 2 + 1 + 4 + 8 + 2 + 2 + 4;
+// Smallest serialized payload: its fixed fields plus an empty blob.
+constexpr std::size_t kWirePayloadMinBytes = 2 + 1 + 8 + 8 + 1 + 4 + 4 + 4 + 4;
+
+// Read a serialized packet's payload table into \p out, leaving each
+// payload's data as a view into \p bytes. Throws on malformed input.
+void read_packet(std::span<const std::byte> bytes, SimDuration& send_time,
+                 std::uint32_t& pad_bytes, std::vector<PayloadView>& out) {
+  ByteReader r(bytes);
+  if (r.u32() != kPacketMagic) throw std::runtime_error("asf: bad packet magic");
+  send_time = {r.i64()};
+  pad_bytes = r.u32();
+  const std::uint32_t n = r.count(kWirePayloadMinBytes);
+  out.clear();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    PayloadView pl;
+    pl.stream_id = r.u16();
+    pl.type = static_cast<MediaType>(r.u8());
+    pl.pts = {r.i64()};
+    pl.duration = {r.i64()};
+    pl.keyframe = r.u8() != 0;
+    pl.object_id = r.u32();
+    pl.offset = r.u32();
+    pl.object_size = r.u32();
+    pl.data = r.raw(r.u32());
+    out.push_back(pl);
+  }
+}
 }  // namespace
 
 const StreamInfo* Header::find_stream(std::uint16_t id) const {
@@ -241,25 +271,49 @@ void Demuxer::set_license(const DrmSystem* drm, License lic, std::string user) {
 
 void Demuxer::feed(const DataPacket& packet, net::SimTime local_now) {
   for (const auto& pl : packet.payloads) {
-    Assembly& a = assembling_[pl.stream_id];
-    if (!a.active || a.object_id != pl.object_id) {
-      if (a.active && a.received < a.object_size) ++dropped_incomplete_;
-      a.active = true;
-      a.object_id = pl.object_id;
-      a.object_size = pl.object_size;
-      a.received = 0;
-      a.meta = EncodedUnit{pl.stream_id, pl.type,     pl.pts,
-                           pl.duration,  pl.object_size, pl.keyframe, 1.0f};
-      a.data.assign(pl.object_size, std::byte{0});
-    }
-    if (pl.offset + pl.data.size() <= a.data.size()) {
-      std::copy(pl.data.begin(), pl.data.end(), a.data.begin() + pl.offset);
-      a.received += static_cast<std::uint32_t>(pl.data.size());
-    }
-    if (a.received >= a.object_size) {
-      complete(a, local_now);
-      a.active = false;
-    }
+    feed_fragment(PayloadView{pl.stream_id, pl.type, pl.pts, pl.duration,
+                              pl.keyframe, pl.object_id, pl.offset,
+                              pl.object_size, pl.data},
+                  local_now);
+  }
+}
+
+bool Demuxer::feed(std::span<const std::byte> packet, net::SimTime local_now) {
+  // One parse buffer per thread, reused across packets and demuxers (a
+  // buffer per demuxer would keep its peak capacity for every session).
+  // Its views point into \p packet, so it is emptied before returning.
+  thread_local std::vector<PayloadView> fragments;
+  SimDuration send_time;
+  std::uint32_t pad_bytes = 0;
+  try {
+    read_packet(packet, send_time, pad_bytes, fragments);
+  } catch (const std::exception&) {
+    return false;  // malformed: nothing was fed
+  }
+  for (const auto& pl : fragments) feed_fragment(pl, local_now);
+  fragments.clear();
+  return true;
+}
+
+void Demuxer::feed_fragment(const PayloadView& pl, net::SimTime local_now) {
+  Assembly& a = assembling_[pl.stream_id];
+  if (!a.active || a.object_id != pl.object_id) {
+    if (a.active && a.received < a.object_size) ++dropped_incomplete_;
+    a.active = true;
+    a.object_id = pl.object_id;
+    a.object_size = pl.object_size;
+    a.received = 0;
+    a.meta = EncodedUnit{pl.stream_id, pl.type,        pl.pts,
+                         pl.duration,  pl.object_size, pl.keyframe, 1.0f};
+    a.data.assign(pl.object_size, std::byte{0});
+  }
+  if (pl.offset + pl.data.size() <= a.data.size()) {
+    std::copy(pl.data.begin(), pl.data.end(), a.data.begin() + pl.offset);
+    a.received += static_cast<std::uint32_t>(pl.data.size());
+  }
+  if (a.received >= a.object_size) {
+    complete(a, local_now);
+    a.active = false;
   }
 }
 
@@ -367,7 +421,7 @@ Header parse_header(std::span<const std::byte> bytes) {
   h.drm.is_protected = r.u8() != 0;
   h.drm.key_id = r.str();
   h.drm.license_url = r.str();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(kWireStreamMinBytes);
   h.streams.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) h.streams.push_back(read_stream(r));
   return h;
@@ -394,24 +448,21 @@ std::vector<std::byte> serialize_packet(const DataPacket& p) {
 }
 
 DataPacket parse_packet(std::span<const std::byte> bytes) {
-  ByteReader r(bytes);
-  if (r.u32() != kPacketMagic) throw std::runtime_error("asf: bad packet magic");
   DataPacket p;
-  p.send_time = {r.i64()};
-  p.pad_bytes = r.u32();
-  const std::uint32_t n = r.u32();
-  p.payloads.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  std::vector<PayloadView> views;
+  read_packet(bytes, p.send_time, p.pad_bytes, views);
+  p.payloads.reserve(views.size());
+  for (const auto& v : views) {
     Payload pl;
-    pl.stream_id = r.u16();
-    pl.type = static_cast<MediaType>(r.u8());
-    pl.pts = {r.i64()};
-    pl.duration = {r.i64()};
-    pl.keyframe = r.u8() != 0;
-    pl.object_id = r.u32();
-    pl.offset = r.u32();
-    pl.object_size = r.u32();
-    pl.data = r.blob();
+    pl.stream_id = v.stream_id;
+    pl.type = v.type;
+    pl.pts = v.pts;
+    pl.duration = v.duration;
+    pl.keyframe = v.keyframe;
+    pl.object_id = v.object_id;
+    pl.offset = v.offset;
+    pl.object_size = v.object_size;
+    pl.data.assign(v.data.begin(), v.data.end());
     p.payloads.push_back(std::move(pl));
   }
   return p;

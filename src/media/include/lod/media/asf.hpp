@@ -82,6 +82,21 @@ struct Payload {
   std::vector<std::byte> data;
 };
 
+/// A payload as read from a serialized packet: the fields of `Payload`, with
+/// the data left as a view into the bytes it was read from (or into a
+/// `Payload`'s own data).
+struct PayloadView {
+  std::uint16_t stream_id{0};
+  MediaType type{MediaType::kVideo};
+  SimDuration pts{};
+  SimDuration duration{};
+  bool keyframe{false};
+  std::uint32_t object_id{0};
+  std::uint32_t offset{0};
+  std::uint32_t object_size{0};
+  std::span<const std::byte> data;
+};
+
 /// One fixed-size data packet.
 struct DataPacket {
   SimDuration send_time{};  ///< when a paced sender should emit this packet
@@ -168,6 +183,11 @@ class Demuxer {
 
   /// Feed one packet. Completed units/scripts become available for polling.
   void feed(const DataPacket& packet, net::SimTime local_now = {});
+  /// Feed one serialized packet (`serialize_packet` bytes) without building
+  /// a `DataPacket`: the whole packet is parsed first, and only then is each
+  /// fragment copied, once, into its assembly. Returns false, having changed
+  /// nothing, when the bytes are not a well-formed packet.
+  bool feed(std::span<const std::byte> packet, net::SimTime local_now = {});
 
   /// Pull the next completed media unit (pts order within arrival order).
   std::optional<DemuxedUnit> next_unit();
@@ -190,6 +210,8 @@ class Demuxer {
     bool active{false};
   };
 
+  /// The one assembly step both feeds share.
+  void feed_fragment(const PayloadView& pl, net::SimTime local_now);
   void complete(Assembly& a, net::SimTime local_now);
 
   Header header_;

@@ -22,6 +22,11 @@ namespace lod::net {
 /// Append-only serializer.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Start with room for \p capacity bytes, so a writer whose final size is
+  /// known up front allocates exactly once.
+  explicit ByteWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
   void u16(std::uint16_t v) { put_int(v); }
   void u32(std::uint32_t v) { put_int(v); }
@@ -54,8 +59,10 @@ class ByteWriter {
  private:
   template <typename T>
   void put_int(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+      buf_[at + i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
     }
   }
   std::vector<std::byte> buf_;

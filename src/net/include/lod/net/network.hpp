@@ -147,7 +147,8 @@ class Network : public Transport {
   // --- introspection --------------------------------------------------------
 
   /// Shortest path (hop count) from a to b, inclusive of endpoints.
-  /// Empty if unreachable.
+  /// Empty if unreachable. Always a fresh search; `send` reads a per-(a, b)
+  /// cache of this that `add_host`/`add_link` clear.
   std::vector<HostId> route(HostId a, HostId b) const;
 
   /// Sum of per-hop propagation latency along route(a, b) — the static
@@ -157,6 +158,10 @@ class Network : public Transport {
   SimDuration path_latency(HostId a, HostId b) const override;
 
   const LinkStats& link_stats(HostId from, HostId to) const;
+
+  /// Slots in the in-flight hop slab: the high-water mark of packets that
+  /// were in flight at once. Slots are recycled, never released.
+  std::size_t hop_slab_size() const { return hops_.size(); }
 
   Simulator& simulator() { return sim_; }
   Rng& rng() { return rng_; }
@@ -184,9 +189,27 @@ class Network : public Transport {
   LinkDir* find_dir(HostId from, HostId to);
   const LinkDir* find_dir(HostId from, HostId to) const;
 
-  /// Schedule the hop from `from` to `to`, then recurse along the path.
-  void forward(Packet p, std::size_t hop_index,
-               std::shared_ptr<const std::vector<HostId>> path);
+  using Path = std::shared_ptr<const std::vector<HostId>>;
+
+  /// One packet in flight. The timer of its current hop (or its loopback
+  /// delivery) refers to it by slot, so the timer closure stays small enough
+  /// for `std::function`'s inline buffer.
+  struct Hop {
+    Packet p;
+    Path path;  ///< null for loopback
+    std::size_t hop_index{0};
+    LinkDir* dir{nullptr};  ///< link being crossed; nodes never move
+    bool best_effort{true};
+  };
+
+  /// The cached route from a to b (immutable, shared with in-flight hops).
+  const Path& cached_route(HostId a, HostId b);
+  std::uint32_t acquire_hop(Packet p, Path path);
+  void release_hop(std::uint32_t slot);
+  /// Schedule slot's next hop along its path, or drop it (and free the slot).
+  void forward(std::uint32_t slot);
+  /// The slot's packet reached the end of its current hop.
+  void hop_arrived(std::uint32_t slot);
   void deliver(const Packet& p);
 
   Simulator& sim_;
@@ -200,6 +223,9 @@ class Network : public Transport {
   std::vector<HostState> hosts_;
   std::unordered_map<std::uint64_t, LinkDir> links_;
   std::unordered_map<ChannelId, ChannelReservation> channels_;
+  std::unordered_map<std::uint64_t, Path> routes_;  ///< dir_key(a, b) -> path
+  std::vector<Hop> hops_;
+  std::vector<std::uint32_t> free_hops_;
   ChannelId next_channel_{1};
   std::uint64_t next_packet_{1};
 };

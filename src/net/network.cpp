@@ -19,6 +19,7 @@ Network::Network(Simulator& sim, std::uint64_t seed) : sim_(sim), rng_(seed) {
 HostId Network::add_host(std::string name, HostClock clock) {
   const HostId id = static_cast<HostId>(hosts_.size());
   hosts_.push_back(HostState{std::move(name), clock, {}, {}});
+  routes_.clear();
   return id;
 }
 
@@ -32,6 +33,7 @@ void Network::add_link(HostId a, HostId b, const LinkConfig& cfg) {
   if (std::find(na.begin(), na.end(), b) == na.end()) na.push_back(b);
   auto& nb = hosts_[b].neighbors;
   if (std::find(nb.begin(), nb.end(), a) == nb.end()) nb.push_back(a);
+  routes_.clear();  // in-flight hops keep their own copy of the old path
 }
 
 void Network::set_link_config(HostId from, HostId to, const LinkConfig& cfg) {
@@ -58,8 +60,7 @@ void Network::unbind(HostId h, Port port) { hosts_.at(h).ports.erase(port); }
 std::vector<HostId> Network::route(HostId a, HostId b) const {
   if (a >= hosts_.size() || b >= hosts_.size()) return {};
   if (a == b) return {a};
-  // BFS over the (small) topology; recomputed per call which is fine at the
-  // scales the benches use. A routing cache would be premature here.
+  // BFS over the (small) topology.
   std::vector<HostId> prev(hosts_.size(), a);
   std::vector<bool> seen(hosts_.size(), false);
   std::deque<HostId> q{a};
@@ -96,6 +97,28 @@ SimDuration Network::path_latency(HostId a, HostId b) const {
   return total;
 }
 
+const Network::Path& Network::cached_route(HostId a, HostId b) {
+  Path& path = routes_[dir_key(a, b)];
+  if (!path) path = std::make_shared<const std::vector<HostId>>(route(a, b));
+  return path;
+}
+
+std::uint32_t Network::acquire_hop(Packet p, Path path) {
+  if (free_hops_.empty()) {
+    hops_.push_back(Hop{std::move(p), std::move(path)});
+    return static_cast<std::uint32_t>(hops_.size() - 1);
+  }
+  const std::uint32_t slot = free_hops_.back();
+  free_hops_.pop_back();
+  hops_[slot] = Hop{std::move(p), std::move(path)};
+  return slot;
+}
+
+void Network::release_hop(std::uint32_t slot) {
+  hops_[slot] = Hop{};  // drop the payload and path references now
+  free_hops_.push_back(slot);
+}
+
 bool Network::send(Packet p) {
   if (p.src >= hosts_.size() || p.dst >= hosts_.size()) return false;
   p.id = next_packet_++;
@@ -107,23 +130,31 @@ bool Network::send(Packet p) {
   }
   if (p.src == p.dst) {
     // Loopback: deliver after the current handler unwinds, keeping the
-    // "receive is always asynchronous" invariant callers rely on. Move the
-    // packet in — refcounted payloads make this pointer-cheap.
-    sim_.schedule_after(usec(0), [this, p = std::move(p)] { deliver(p); });
+    // "receive is always asynchronous" invariant callers rely on.
+    const std::uint32_t slot = acquire_hop(std::move(p), nullptr);
+    sim_.schedule_after(usec(0), [this, slot] {
+      const Packet p = std::move(hops_[slot].p);
+      release_hop(slot);
+      deliver(p);
+    });
     return true;
   }
-  auto path = std::make_shared<const std::vector<HostId>>(route(p.src, p.dst));
+  const Path& path = cached_route(p.src, p.dst);
   if (path->size() < 2) return false;
-  forward(std::move(p), 0, std::move(path));
+  forward(acquire_hop(std::move(p), path));
   return true;
 }
 
-void Network::forward(Packet p, std::size_t hop_index,
-                      std::shared_ptr<const std::vector<HostId>> path) {
-  const HostId from = (*path)[hop_index];
-  const HostId to = (*path)[hop_index + 1];
+void Network::forward(std::uint32_t slot) {
+  Hop& h = hops_[slot];
+  const Packet& p = h.p;
+  const HostId from = (*h.path)[h.hop_index];
+  const HostId to = (*h.path)[h.hop_index + 1];
   LinkDir* dir = find_dir(from, to);
-  if (!dir) return;  // topology changed under us; drop
+  if (!dir) {  // topology changed under us; drop
+    release_hop(slot);
+    return;
+  }
 
   // Loss is drawn per hop, before queueing (wire loss, not buffer loss).
   if (rng_.bernoulli(dir->cfg.loss_rate)) {
@@ -136,18 +167,20 @@ void Network::forward(Packet p, std::size_t hop_index,
       trace_->emit(obs::EventType::kPacketDropLoss, from,
                    static_cast<std::int64_t>(p.id), to);
     }
+    release_hop(slot);
     return;
   }
 
   const SimTime now = sim_.now();
   SimTime depart;
-  if (p.channel != 0 && channels_.count(p.channel)) {
+  const auto channel =
+      p.channel != 0 ? channels_.find(p.channel) : channels_.end();
+  if (channel != channels_.end()) {
     // Reserved-rate serialization: the channel has its own serializer slice
     // and never competes with best-effort traffic.
-    const auto& res = channels_.at(p.channel);
     SimTime& busy = dir->channel_busy_until[p.channel];
     const SimTime start = std::max(now, busy);
-    const std::int64_t bps = std::max<std::int64_t>(res.rate_bps, 1);
+    const std::int64_t bps = std::max<std::int64_t>(channel->second.rate_bps, 1);
     const SimDuration tx{static_cast<std::int64_t>(p.wire_size) * 8'000'000 /
                          bps};
     busy = start + tx;
@@ -164,6 +197,7 @@ void Network::forward(Packet p, std::size_t hop_index,
         trace_->emit(obs::EventType::kPacketDropQueue, from,
                      static_cast<std::int64_t>(p.id), to);
       }
+      release_hop(slot);
       return;
     }
     const std::int64_t bps =
@@ -186,22 +220,27 @@ void Network::forward(Packet p, std::size_t hop_index,
   // can be late, never faster than light.
   if (arrive < depart + dir->cfg.latency) arrive = depart + dir->cfg.latency;
 
-  const std::uint32_t wire = p.wire_size;
-  const bool best_effort = (p.channel == 0 || !channels_.count(p.channel));
-  sim_.schedule_at(
-      arrive, [this, p = std::move(p), hop_index, path = std::move(path), from,
-               to, wire, best_effort]() mutable {
-        if (best_effort) {
-          if (LinkDir* d = find_dir(from, to)) {
-            d->queued_bytes -= std::min<std::size_t>(d->queued_bytes, wire);
-          }
-        }
-        if (hop_index + 2 >= path->size()) {
-          deliver(p);
-        } else {
-          forward(std::move(p), hop_index + 1, std::move(path));
-        }
-      });
+  h.dir = dir;
+  h.best_effort = channel == channels_.end();
+  sim_.schedule_at(arrive, [this, slot] { hop_arrived(slot); });
+}
+
+void Network::hop_arrived(std::uint32_t slot) {
+  Hop& h = hops_[slot];
+  if (h.best_effort) {
+    h.dir->queued_bytes -= std::min<std::size_t>(h.dir->queued_bytes,
+                                                 h.p.wire_size);
+  }
+  if (h.hop_index + 2 < h.path->size()) {
+    ++h.hop_index;
+    forward(slot);
+    return;
+  }
+  // Free the slot before delivering: the receiver may send, and a send may
+  // grow the slab under any reference into it.
+  const Packet p = std::move(h.p);
+  release_hop(slot);
+  deliver(p);
 }
 
 void Network::deliver(const Packet& p) {

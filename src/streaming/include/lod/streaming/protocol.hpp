@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "lod/net/bytes.hpp"
@@ -56,6 +58,32 @@ inline constexpr net::Port kWebPort = 80;        // slide/web server RPC
 /// identifies the file packet (repair requests + dedup — a repaired packet
 /// arrives with a fresh seq but the same index).
 inline constexpr std::uint32_t kDataMagic = 0x4c4f4444;  // "LODD"
+inline constexpr std::size_t kDataHeaderBytes = 4 + 8 + 4 + 8 + 4;
+
+/// The data frame header, written into one exactly-sized buffer. Origin and
+/// edge both send it as the datagram payload, with the serialized ASF
+/// packet attached as the shared body.
+inline net::Payload data_header(std::uint64_t session, std::uint32_t epoch,
+                                std::uint64_t seq,
+                                std::uint32_t packet_index) {
+  net::ByteWriter w(kDataHeaderBytes);
+  w.u32(kDataMagic);
+  w.u64(session);
+  w.u32(epoch);
+  w.u64(seq);
+  w.u32(packet_index);
+  return std::move(w).take();
+}
+
+/// Wire cost of a data frame. ASF ships FIXED-size data packets (padding
+/// included), so a frame costs the nominal packet size + session framing +
+/// UDP/IP, never less, even for a padded packet.
+inline std::uint32_t data_wire_size(std::size_t frame_bytes,
+                                    std::uint32_t packet_bytes) {
+  return std::max<std::uint32_t>(static_cast<std::uint32_t>(frame_bytes),
+                                 packet_bytes + 20u) +
+         28;
+}
 
 /// Live session migration (LODR RPC `/edge/migrate`, served by replicas at
 /// `control_port + kMigratePortOffset`). A player abandoning a dead site

@@ -489,30 +489,16 @@ void StreamingServer::send_packet(Session& s, const net::Payload& bytes,
   // Per-send frame header only; the serialized packet rides as a shared
   // body, so unicast fan-out, repairs and live broadcast all reuse the
   // same encoded bytes.
-  ByteWriter w;
-  w.u32(proto::kDataMagic);
-  w.u64(s.id);
-  w.u32(s.epoch);
-  w.u64(s.next_seq++);
-  w.u32(packet_index);
-
   net::Datagram p;
   p.src = host_;
   p.dst = s.client;
   p.src_port = data_.port();
   p.dst_port = s.data_port;
-  p.payload = std::move(w).take();
+  p.payload = proto::data_header(s.id, s.epoch, s.next_seq++, packet_index);
   p.body = bytes;
-  // ASF ships FIXED-size data packets (padding included), so the wire cost
-  // is the nominal packet size + session framing + UDP/IP — never less,
-  // even for a padded packet.
-  const std::uint32_t nominal =
-      (s.file ? s.file->header.props.packet_bytes : 1400u) + 20u;
-  p.wire_size =
-      std::max<std::uint32_t>(
-          static_cast<std::uint32_t>(p.payload.size() + p.body.size()),
-          nominal) +
-      28;
+  p.wire_size = proto::data_wire_size(
+      p.payload.size() + p.body.size(),
+      s.file ? s.file->header.props.packet_bytes : 1400u);
   p.channel = s.channel;
   s.stats.packets_sent.inc();
   s.stats.bytes_sent.inc(p.wire_size);

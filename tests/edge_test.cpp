@@ -532,6 +532,146 @@ TEST_F(EdgeFixture, EdgeAnswersDescribeAndTimesyncLikeTheOrigin) {
   EXPECT_GT(gateway->meta_requests(), 0u);
 }
 
+// --- Malformed origin replies --------------------------------------------------
+
+/// An edge in front of a scripted origin: the test writes every `/edge/meta`
+/// and `/edge/segment` reply body, and a bare control endpoint on the client
+/// host speaks DESCRIBE/PLAY to the edge.
+struct ScriptedOriginFixture : ::testing::Test {
+  using Ctl = streaming::proto::Ctl;
+
+  ScriptedOriginFixture()
+      : network(sim, 99),
+        origin_host(network.add_host("origin")),
+        edge_host(network.add_host("edge")),
+        client_host(network.add_host("client")),
+        origin_rpc(network, origin_host, kOriginGatewayPort),
+        client(network, client_host, 6000) {
+    network.add_link(origin_host, edge_host, {});
+    network.add_link(edge_host, client_host, {});
+    origin_rpc.route("/edge/meta", [this](std::string_view,
+                                          std::span<const std::byte>) {
+      ++meta_calls;
+      return std::pair<int, std::vector<std::byte>>{200, meta_reply};
+    });
+    origin_rpc.route("/edge/segment", [this](std::string_view,
+                                             std::span<const std::byte>) {
+      ++segment_calls;
+      return std::pair<int, std::vector<std::byte>>{200, segment_reply};
+    });
+    client.on_receive([this](const net::ReliableEndpoint::Message& m) {
+      replies.push_back(static_cast<Ctl>(m.payload.view()[0]));
+    });
+    EdgeConfig ec;
+    ec.origin = origin_host;
+    edge = std::make_unique<EdgeNode>(network, edge_host, ec);
+  }
+
+  /// An `/edge/meta` reply: header blob, packet count, index, send times.
+  static std::vector<std::byte> meta_body(
+      std::vector<std::byte> header, std::uint32_t packet_count,
+      const std::vector<std::int64_t>& send_times) {
+    net::ByteWriter w;
+    w.blob(header);
+    w.u32(packet_count);
+    w.u32(1);  // one index entry: t=0 -> packet 0
+    w.i64(0);
+    w.u32(0);
+    for (std::int64_t t : send_times) w.i64(t);
+    return std::move(w).take();
+  }
+
+  void describe() {
+    net::ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(Ctl::kDescribe));
+    w.str("lec");
+    client.send_to(edge_host, streaming::proto::kControlPort,
+                   std::move(w).take());
+  }
+
+  void play() {
+    net::ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(Ctl::kPlay));
+    w.str("lec");
+    w.i64(0);      // from
+    w.u16(6001);   // data port
+    w.u32(0);      // channel
+    client.send_to(edge_host, streaming::proto::kControlPort,
+                   std::move(w).take());
+  }
+
+  std::uint64_t rejected() {
+    return network.obs()
+        .metrics()
+        .counter("lod.edge.origin_replies_rejected",
+                 {{"host", std::to_string(edge_host)}})
+        .value();
+  }
+
+  net::Simulator sim;
+  net::Network network;
+  net::HostId origin_host, edge_host, client_host;
+  net::RpcServer origin_rpc;
+  net::ReliableEndpoint client;
+  std::unique_ptr<EdgeNode> edge;
+  std::vector<std::byte> meta_reply;
+  std::vector<std::byte> segment_reply;
+  int meta_calls{0};
+  int segment_calls{0};
+  std::vector<Ctl> replies;
+};
+
+TEST_F(ScriptedOriginFixture, BadHeaderMagicAnswersTheWaitingDescribeWithError) {
+  auto header = media::asf::serialize_header(media::asf::Header{});
+  header[0] ^= std::byte{0xff};
+  meta_reply = meta_body(header, 0, {});
+  describe();
+  describe();  // parks on the same fill
+  ASSERT_NO_THROW(sim.run_until(SimTime{sec(5).us}));
+  EXPECT_EQ(meta_calls, 1);
+  EXPECT_EQ(replies, (std::vector<Ctl>{Ctl::kError, Ctl::kError}));
+  EXPECT_EQ(rejected(), 1u);
+
+  // Nothing was marked ready: the next DESCRIBE starts a fresh fill, and a
+  // good reply now serves it.
+  meta_reply = meta_body(media::asf::serialize_header(media::asf::Header{}), 1,
+                         {0});
+  describe();
+  sim.run_until(SimTime{sec(10).us});
+  EXPECT_EQ(meta_calls, 2);
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[2], Ctl::kDescribeOk);
+  EXPECT_EQ(rejected(), 1u);
+}
+
+TEST_F(ScriptedOriginFixture, PacketCountBeyondTheReplyIsRejectedBeforeReserving) {
+  // 1M packets claimed, not one send time shipped.
+  meta_reply = meta_body(media::asf::serialize_header(media::asf::Header{}),
+                         1u << 20, {});
+  describe();
+  ASSERT_NO_THROW(sim.run_until(SimTime{sec(5).us}));
+  EXPECT_EQ(replies, (std::vector<Ctl>{Ctl::kError}));
+  EXPECT_EQ(rejected(), 1u);
+}
+
+TEST_F(ScriptedOriginFixture, SegmentCountBeyondTheReplyIsRejected) {
+  meta_reply = meta_body(media::asf::serialize_header(media::asf::Header{}), 4,
+                         {0, 10'000, 20'000, 30'000});
+  net::ByteWriter seg;
+  seg.u32(1u << 20);  // 1M packets claimed, none shipped
+  segment_reply = std::move(seg).take();
+  describe();
+  sim.run_until(SimTime{sec(2).us});
+  ASSERT_EQ(replies, (std::vector<Ctl>{Ctl::kDescribeOk}));
+  play();
+  ASSERT_NO_THROW(sim.run_until(SimTime{sec(10).us}));
+  EXPECT_GE(segment_calls, 1);
+  EXPECT_EQ(rejected(), static_cast<std::uint64_t>(segment_calls));
+  // The parked session got nothing to relay; nothing was cached.
+  EXPECT_EQ(edge->packets_sent(), 0u);
+  EXPECT_EQ(edge->cache().bytes_used(), 0u);
+}
+
 // --- WMPS integration --------------------------------------------------------
 
 TEST(WmpsEdge, CandidateSitesListEdgesFirstOriginLast) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "lod/media/drm.hpp"
 #include "lod/media/profile.hpp"
 #include "lod/media/sources.hpp"
 #include "lod/net/rng.hpp"
@@ -211,6 +212,136 @@ TEST(Demuxer, PtsPreservedThroughMuxDemux) {
       EXPECT_NEAR(frames, std::round(frames), 1e-3);
     }
   }
+}
+
+// --- feeding serialized bytes --------------------------------------------------
+
+/// A DRM-protected version of `make_small_file`: encrypted media next to the
+/// script stream, which rides in the clear.
+File make_protected_file(const DrmSystem& drm, const KeyId& key) {
+  Header h = make_header();
+  h.drm.is_protected = true;
+  h.drm.key_id = key;
+  h.drm.license_url = "rpc://license";
+  Muxer mux(h, &drm);
+  for (int i = 0; i < 30; ++i) {
+    mux.add_unit(video_unit(i / 15.0, i % 5 == 0 ? 4000 : 900, i % 5 == 0));
+  }
+  for (int i = 0; i < 100; ++i) mux.add_unit(audio_unit(i * 0.02));
+  mux.add_script({secf(0.0), "SLIDE", "slides/1"});
+  mux.add_script({secf(1.5), "ANNOT", "note: remember this"});
+  return mux.finalize(sec(1));
+}
+
+/// One demuxer plus everything it has surfaced so far.
+struct FeedRun {
+  FeedRun(const File& f, const DrmSystem* drm = nullptr,
+          const License* lic = nullptr)
+      : d(f.header) {
+    if (drm) d.set_license(drm, *lic, "alice");
+  }
+  void drain() {
+    while (auto u = d.next_unit()) out.units.push_back(std::move(*u));
+    while (auto sc = d.next_script()) out.scripts.push_back(std::move(*sc));
+  }
+  Demuxer d;
+  DemuxResult out;
+};
+
+void expect_same_output(const FeedRun& a, const FeedRun& b) {
+  ASSERT_EQ(a.out.units.size(), b.out.units.size());
+  for (std::size_t i = 0; i < a.out.units.size(); ++i) {
+    const auto& x = a.out.units[i];
+    const auto& y = b.out.units[i];
+    EXPECT_EQ(x.meta.stream_id, y.meta.stream_id) << i;
+    EXPECT_EQ(x.meta.type, y.meta.type) << i;
+    EXPECT_EQ(x.meta.pts, y.meta.pts) << i;
+    EXPECT_EQ(x.meta.duration, y.meta.duration) << i;
+    EXPECT_EQ(x.meta.bytes, y.meta.bytes) << i;
+    EXPECT_EQ(x.meta.keyframe, y.meta.keyframe) << i;
+    EXPECT_EQ(x.data, y.data) << i;
+  }
+  EXPECT_EQ(a.out.scripts, b.out.scripts);
+  EXPECT_EQ(a.d.dropped_incomplete(), b.d.dropped_incomplete());
+  EXPECT_EQ(a.d.undecryptable(), b.d.undecryptable());
+}
+
+TEST(DemuxerBytes, FeedingSerializedPacketsMatchesFeedingStructs) {
+  DrmSystem drm;
+  const auto key = drm.create_key("lecture");
+  const auto lic = drm.issue_license(key, "alice", net::SimTime::max());
+  ASSERT_TRUE(lic.has_value());
+  const File plain = make_small_file();
+  const File locked = make_protected_file(drm, key);
+
+  struct Case {
+    const File* file;
+    const DrmSystem* drm;
+    const License* lic;
+  };
+  for (const Case c : {Case{&plain, nullptr, nullptr},
+                       Case{&locked, &drm, &*lic},
+                       Case{&locked, nullptr, nullptr}}) {
+    FeedRun structs(*c.file, c.drm, c.lic);
+    FeedRun bytes(*c.file, c.drm, c.lic);
+    // One lost packet, so both feeds also drop an incomplete unit.
+    const std::size_t lost = c.file->packets.size() / 2;
+    for (std::size_t i = 0; i < c.file->packets.size(); ++i) {
+      if (i == lost) continue;
+      const DataPacket& p = c.file->packets[i];
+      const net::SimTime t{static_cast<std::int64_t>(i) * 1000};
+      structs.d.feed(p, t);
+      EXPECT_TRUE(bytes.d.feed(serialize_packet(p), t));
+      structs.drain();
+      bytes.drain();
+    }
+    expect_same_output(structs, bytes);
+    EXPECT_GT(bytes.out.units.size(), 100u);
+    EXPECT_EQ(bytes.out.scripts.size(), c.file == &plain ? 3u : 2u);
+    EXPECT_GT(bytes.d.dropped_incomplete(), 0u);
+    EXPECT_EQ(bytes.d.undecryptable(), c.file == &locked && c.drm == nullptr);
+  }
+}
+
+TEST(DemuxerBytes, MalformedPacketFeedsNothing) {
+  const File f = make_small_file();
+  // A packet with several fragments, so a partial parse would have had
+  // something to feed.
+  std::size_t k = 1;
+  while (k < f.packets.size() && f.packets[k].payloads.size() < 3) ++k;
+  ASSERT_LT(k, f.packets.size());
+  const DataPacket& victim = f.packets[k];
+  const std::vector<std::byte> good = serialize_packet(victim);
+
+  auto truncated = good;
+  truncated.pop_back();
+  auto bad_magic = good;
+  bad_magic[0] ^= std::byte{0xff};
+  // The last fragment's data length (its fixed fields take 32 bytes) claims
+  // more than the packet holds.
+  DataPacket head = victim;
+  head.payloads.pop_back();
+  auto overrun = good;
+  const std::size_t len_at = serialize_packet(head).size() + 32;
+  overrun[len_at + 3] = std::byte{0x7f};
+
+  FeedRun clean(f);
+  FeedRun dirty(f);
+  for (std::size_t i = 0; i < f.packets.size(); ++i) {
+    if (i == k) {
+      for (const auto* bad : {&truncated, &bad_magic, &overrun}) {
+        EXPECT_FALSE(dirty.d.feed(*bad));
+        dirty.drain();
+      }
+    }
+    EXPECT_TRUE(clean.d.feed(serialize_packet(f.packets[i])));
+    EXPECT_TRUE(dirty.d.feed(serialize_packet(f.packets[i])));
+    clean.drain();
+    dirty.drain();
+  }
+  expect_same_output(clean, dirty);
+  EXPECT_EQ(dirty.out.units.size(), 130u);
+  EXPECT_EQ(dirty.d.dropped_incomplete(), 0u);
 }
 
 // --- serialization ---------------------------------------------------------------

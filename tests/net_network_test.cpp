@@ -199,6 +199,93 @@ TEST(NetworkTopology, ShortestPathPreferred) {
   EXPECT_EQ(net.route(a, b).size(), 2u);
 }
 
+TEST(NetworkTopology, RouteCacheFollowsAddedLinks) {
+  Simulator sim;
+  Network net(sim);
+  const HostId a = net.add_host("a");
+  const HostId m = net.add_host("m");
+  const HostId c = net.add_host("c");
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 8'000'000;  // 1 byte/us
+  cfg.latency = msec(2);
+  net.add_link(a, m, cfg);
+  net.add_link(m, c, cfg);
+
+  std::vector<std::pair<std::uint64_t, SimTime>> got;
+  net.bind(c, 9, [&](const Packet& p) { got.emplace_back(p.id, sim.now()); });
+  auto send = [&] {
+    Packet p;
+    p.src = a;
+    p.dst = c;
+    p.dst_port = 9;
+    p.wire_size = 1000;
+    EXPECT_TRUE(net.send(std::move(p)));
+  };
+
+  send();  // id 1, over a-m-c
+  EXPECT_EQ(net.path_latency(a, c), msec(4));
+  sim.run_until(SimTime{3500});  // first hop done, second on the wire
+  LinkConfig direct = cfg;
+  direct.latency = msec(1);
+  net.add_link(a, c, direct);
+  EXPECT_EQ(net.path_latency(a, c), msec(1));
+  send();  // id 2, over the new direct link
+  sim.run();
+
+  ASSERT_EQ(got.size(), 2u);
+  // The second packet took the 1-hop path: 1 ms serialize + path_latency.
+  EXPECT_EQ(got[0].first, 2u);
+  EXPECT_EQ(got[0].second.us, 3500 + 1000 + net.path_latency(a, c).us);
+  // The packet already in flight kept the path it was routed on:
+  // two hops of 1 ms serialize + 2 ms latency.
+  EXPECT_EQ(got[1].first, 1u);
+  EXPECT_EQ(got[1].second.us, 6000);
+  EXPECT_EQ(net.link_stats(m, c).packets_sent, 1u);
+  EXPECT_EQ(net.link_stats(a, c).packets_sent, 1u);
+}
+
+TEST_F(TwoHostFixture, HopSlabDrainsAndIsReusedAcrossBursts) {
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 8'000'000;
+  cfg.latency = msec(1);
+  cfg.loss_rate = 0.3;
+  cfg.queue_bytes = 5000;  // room for 5 of the burst's packets
+  link(cfg);
+  sink(9);
+  std::size_t loopbacks = 0;
+  net.bind(a, 9, [&](const Packet&) { ++loopbacks; });
+  auto burst = [&] {
+    for (int i = 0; i < 50; ++i) net.send(make(1000));
+    for (int i = 0; i < 3; ++i) {
+      Packet p = make(100);
+      p.dst = a;
+      net.send(std::move(p));
+    }
+    sim.run();
+  };
+
+  burst();
+  const LinkStats first = net.link_stats(a, b);
+  EXPECT_GT(first.packets_dropped_loss, 0u);
+  EXPECT_GT(first.packets_dropped_queue, 0u);
+  EXPECT_EQ(received.size(), first.packets_sent);
+  EXPECT_EQ(loopbacks, 3u);
+  EXPECT_EQ(sim.pending(), 0u);
+  // Dropped packets give their slot back at once: at most the queue's five
+  // packets plus the three loopbacks were ever in flight together.
+  const std::size_t high_water = net.hop_slab_size();
+  EXPECT_GT(high_water, 0u);
+  EXPECT_LE(high_water, 8u);
+
+  burst();
+  EXPECT_GT(net.link_stats(a, b).packets_dropped_queue,
+            first.packets_dropped_queue);
+  EXPECT_EQ(loopbacks, 6u);
+  EXPECT_EQ(sim.pending(), 0u);
+  // Every slot came back: the same burst fits in the same slab.
+  EXPECT_EQ(net.hop_slab_size(), high_water);
+}
+
 TEST(NetworkTopology, UnreachableRouteEmpty) {
   Simulator sim;
   Network net(sim);
